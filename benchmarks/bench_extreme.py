@@ -1,14 +1,14 @@
 """Extreme-scale curves: synthetic catalogs from repro.scale, end to end.
 
 Each point generates a planted catalog (``repro.scale``), materializes
-the instance and planted tree, builds the succinct serving indexes, and
+the instance and planted tree, builds the in-memory serving indexes, and
 times the read path over a head-weighted query sample.  Points run in a
 forked child process (one per point) so peak RSS is honest per point
 instead of a running maximum across the sweep.
 
 On the largest point the latency-budgeted shaper (``repro.shaping``) is
 exercised as a gate: the cost model is calibrated against the measured
-succinct read path, the planted tree is shaped to a budget halfway
+serving read path, the planted tree is shaped to a budget halfway
 between the estimated cost floor and the baseline, and the run *fails*
 unless the budget is met and the reported quality delta matches an
 offline ``score_tree`` of the shaped tree exactly (bit-equal, not
@@ -165,6 +165,7 @@ def run_point(
     """
     from repro.scale import ExtremeCatalog, scaled_spec
     from repro.serving.indexes import SnapshotIndexes
+    from repro.serving.shm import encode_postings
 
     variant = _variant()
     spec = scaled_spec(n_items=n_items, n_sets=n_sets, seed=seed)
@@ -188,18 +189,18 @@ def run_point(
     tree = catalog.planted_tree()
     tree_s = time.perf_counter() - t0
 
-    # The bitset universe at 1M items would dwarf the postings; the
-    # extreme tier measures the succinct representation only.
     t0 = time.perf_counter()
-    indexes = SnapshotIndexes(
-        tree, instance, variant, use_bitset=False, tree_repr="succinct"
-    )
+    indexes = SnapshotIndexes(tree, instance, variant)
     index_s = time.perf_counter() - t0
 
-    post_var = getattr(indexes, "_post_var", {}) or {}
-    place_var = getattr(indexes, "_place_var", {}) or {}
-    postings_bytes = sum(len(b) for b in post_var.values()) + sum(
-        len(b) for b in place_var.values()
+    # The flat layout's varint postings and placements, plus a fixed
+    # per-category overhead for the tree sections.
+    row_of = {cid: row for row, cid in enumerate(indexes._cids)}
+    postings_bytes = sum(
+        len(encode_postings(rows)) for rows in indexes.item_rows.values()
+    ) + sum(
+        len(encode_postings(row_of[cid] for cid in cids))
+        for cids in indexes.item_placements.values()
     )
     snapshot_bytes = postings_bytes + 64 * len(tree)
 
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         for r in records
     ]
     bench_report(
-        "Extreme scale — synthetic catalogs, succinct serving, shaped tail"
+        "Extreme scale — synthetic catalogs, in-memory serving, shaped tail"
         + (" (tiny)" if args.tiny else ""),
         "build time and memory grow near-linearly; the shaper meets an "
         "explicit latency budget on the largest point and reports the "

@@ -22,10 +22,13 @@ Three experiments over one snapshotted CTCR tree, all written to
    runs entirely off the read path.
 
 The payload also records the snapshot's on-disk footprint: per-section
-flat-file bytes summed across shards (``snapshot_sections``) and the
-RSS the flat mappings keep resident after a read sweep
-(``mapped_resident_bytes``, ``null`` off-Linux) — the representation
-comparison itself lives in ``bench_serving_succinct.py``.
+and per-group flat-file bytes summed across shards
+(``snapshot_sections``, ``group_bytes``) and the RSS the flat mappings
+keep resident after a read sweep (``mapped_resident_bytes``, ``null``
+off-Linux). An **identity gate** (``identical_answers``) asserts that
+the mmap backend answers exactly like the in-memory one — placements of
+500 items, intersection counts *and their order*, and best category on
+up to 300 sampled queries.
 
 ``--tiny`` runs a seconds-scale version on dataset A for CI smoke (own
 file ``BENCH_serving_tiny.json``; the zero-error assertion still holds).
@@ -34,6 +37,7 @@ file ``BENCH_serving_tiny.json``; the zero-error assertion still holds).
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import tempfile
 import time
@@ -43,10 +47,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
     sys.path.insert(0, str(_ROOT))
 
-from benchmarks.bench_serving_succinct import (
-    mapped_resident_bytes,
-    section_accounting,
-)
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
 from repro.algorithms import CTCR
@@ -55,8 +55,10 @@ from repro.observability import get_tracer
 from repro.serving import (
     HotSwapper,
     ServingEngine,
+    SnapshotIndexes,
     SnapshotStore,
     build_workload,
+    describe_flat,
     prepare_mmap_generation,
     run_loadgen,
 )
@@ -66,6 +68,49 @@ VARIANT = Variant.threshold_jaccard(0.8)
 # dataset, requests, workers — full mode saturates; tiny keeps CI honest.
 FULL = ("C", 20_000, 8)
 TINY = ("A", 2_000, 4)
+
+
+def section_accounting(paths) -> tuple[dict, dict]:
+    """Per-section and per-group bytes, summed across shard files."""
+    sections: dict[str, int] = {}
+    groups: dict[str, int] = {}
+    for path in paths:
+        for sec in describe_flat(path)["sections"]:
+            sections[sec["name"]] = sections.get(sec["name"], 0) + sec["bytes"]
+            groups[sec["group"]] = groups.get(sec["group"], 0) + sec["bytes"]
+    return sections, groups
+
+
+def mapped_resident_bytes(paths) -> int | None:
+    """RSS attributed to the given files in /proc/self/smaps (Linux)."""
+    smaps = Path("/proc/self/smaps")
+    if not smaps.exists():  # pragma: no cover - non-Linux
+        return None
+    names = {p.name for p in paths}
+    total = 0
+    tracking = False
+    for line in smaps.read_text().splitlines():
+        first = line.split(None, 1)[0] if line else ""
+        if "-" in first:  # an address-range header line
+            tracking = any(line.endswith(name) for name in names)
+        elif tracking and line.startswith("Rss:"):
+            total += int(line.split()[1]) * 1024
+    return total
+
+
+def identity_gate(reference: SnapshotIndexes, mm, queries) -> int:
+    """Assert mm answers == the in-memory reference; returns checks run."""
+    checks = 0
+    for item in sorted(reference.item_rows, key=str)[:500]:
+        assert mm.placements(item) == reference.placements(item)
+        checks += 1
+    for query in queries:
+        got = mm.intersection_counts(query)
+        want = reference.intersection_counts(query)
+        assert got == want and list(got) == list(want)
+        assert mm.best_category(query) == reference.best_category(query)
+        checks += 2
+    return checks
 
 
 def _result_row(label: str, r) -> list:
@@ -115,13 +160,18 @@ def run(tiny: bool = False) -> dict:
         run_loadgen(warm_engine, workload, n_workers=n_workers)  # warm-up
         warm = run_loadgen(warm_engine, workload, n_workers=n_workers)
 
-        # -- snapshot footprint: per-section bytes + mapped residency --------
+        # -- snapshot footprint + mmap identity gate -------------------------
         flat_paths = store.flat_paths(info.snapshot_id)
-        snapshot_sections, _ = section_accounting(flat_paths)
+        snapshot_sections, group_bytes = section_accounting(flat_paths)
         mmap_generation = prepare_mmap_generation(store)
         for item in list(loaded.instance.universe)[:200]:
             mmap_generation.indexes.placements(item)  # touch the pages
         resident = mapped_resident_bytes(flat_paths)
+        queries = [q.items for q in loaded.instance.sets]
+        queries = random.Random(1234).sample(queries, min(len(queries), 300))
+        checks = identity_gate(
+            engine.current.indexes, mmap_generation.indexes, queries
+        )
         mmap_generation.indexes.close()
 
         # -- experiment 3: prepare vs publish cost ---------------------------
@@ -162,7 +212,9 @@ def run(tiny: bool = False) -> dict:
             "publish_s": round(publish_s, 6),
         },
         "snapshot_sections": snapshot_sections,
+        "group_bytes": group_bytes,
         "mapped_resident_bytes": resident,
+        "identical_answers": {"asserted": True, "checks": checks},
         "final_generation": engine.generation,
     }
     write_bench_json("serving_tiny" if tiny else "serving", payload)

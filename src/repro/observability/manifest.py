@@ -44,7 +44,10 @@ from repro.observability.tracer import NullTracer, Tracer
 # shaping (runs, removed, hub_splits, width_pruned, quality_given_up,
 # met) emitted by repro.shaping.TreeShaper and the HotSwapper
 # shape-then-publish path.
-SCHEMA_VERSION = 8
+# v9: the v6 serving.succinct.* counters are gone with the succinct read
+# path (one in-memory and one mmap read path remain, neither counted
+# separately).
+SCHEMA_VERSION = 9
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

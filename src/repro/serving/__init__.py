@@ -9,16 +9,19 @@ thread-safe query engine with an LRU result cache
 (:mod:`repro.serving.http`, CLI: ``python -m repro serve``), a
 deterministic closed-loop load generator
 (:mod:`repro.serving.loadgen`, benchmark: ``benchmarks/bench_serving.py``),
-a versioned flat binary snapshot layout mapped read-only across worker
-processes (:mod:`repro.serving.shm`), a multi-process SO_REUSEPORT
-supervisor serving it (:mod:`repro.serving.supervisor`, CLI:
-``python -m repro serve --workers N``), and a succinct tree-retrieval
-read path — Euler-tour intervals, sparse-table LCA, delta-compressed
-varint postings — behind the ``tree_repr="succinct"`` knob
-(:mod:`repro.serving.succinct`, bit-identical to the flat answers), and
-staged free-text query categorization with confidence-thresholded
-back-off up the hierarchy (:mod:`repro.serving.querycat`, CLI:
-``python -m repro categorize-query``).
+a versioned flat binary snapshot layout with delta-varint postings,
+mapped read-only across worker processes (:mod:`repro.serving.shm`), a
+multi-process SO_REUSEPORT supervisor serving it
+(:mod:`repro.serving.supervisor`, CLI: ``python -m repro serve
+--workers N``), and staged free-text query categorization with
+confidence-thresholded back-off up the hierarchy
+(:mod:`repro.serving.querycat`, CLI: ``python -m repro
+categorize-query``).
+
+There is one read path per tier: a single process serves the in-memory
+:class:`SnapshotIndexes`; ``--workers N`` processes serve the mmap'ed
+:class:`MmapSnapshotIndexes`. Both inherit the same scoring and
+path-walk code and return bit-identical answers.
 
 Quickstart::
 
@@ -40,7 +43,12 @@ from repro.serving.engine import (
 )
 from repro.serving.hotswap import HotSwapper
 from repro.serving.http import ServingHTTPServer, make_server, serve_in_background
-from repro.serving.indexes import BaseSnapshotIndexes, BestCategory, SnapshotIndexes
+from repro.serving.indexes import (
+    BaseSnapshotIndexes,
+    BestCategory,
+    SnapshotIndexes,
+    UnknownCategory,
+)
 from repro.serving.loadgen import (
     DEFAULT_MIX,
     HttpLoadGenResult,
@@ -62,7 +70,9 @@ from repro.serving.shm import (
     SECTION_GROUPS,
     MmapSnapshotIndexes,
     compile_flat_indexes,
+    decode_postings,
     describe_flat,
+    encode_postings,
     flat_format_version,
     flat_header,
     prepare_mmap_generation,
@@ -77,23 +87,14 @@ from repro.serving.snapshot import (
     variant_from_spec,
     variant_spec,
 )
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    TREE_REPRS,
-    EulerTour,
-    decode_postings,
-    encode_postings,
-)
 from repro.serving.supervisor import ServingSupervisor, WorkerConfig
 
 __all__ = [
-    "BITSET_FANIN_THRESHOLD",
     "BaseSnapshotIndexes",
     "BestCategory",
     "DEFAULT_CONFIDENCE_THRESHOLD",
     "DEFAULT_MIX",
     "DEFAULT_TOP_K",
-    "EulerTour",
     "FLAT_FORMAT_VERSION",
     "Generation",
     "HotSwapper",
@@ -112,7 +113,7 @@ __all__ = [
     "SnapshotIndexes",
     "SnapshotInfo",
     "SnapshotStore",
-    "TREE_REPRS",
+    "UnknownCategory",
     "WorkerConfig",
     "build_workload",
     "categorize_query",

@@ -69,22 +69,16 @@ def prepare_generation(
     instance: OCTInstance,
     variant: Variant,
     snapshot_id: str = "",
-    use_bitset: bool | None = None,
-    tree_repr: str = "flat",
 ) -> Generation:
     """Build the read-side indexes for a tree (expensive; off-path).
 
     This is the slow half of a hot swap — run it in the background (or
     before serving starts) and hand the result to
-    :meth:`ServingEngine.publish`. ``tree_repr="succinct"`` builds the
-    Euler-tour/varint read path (identical answers, smaller indexes).
+    :meth:`ServingEngine.publish`.
     """
     tracer = get_tracer()
     with tracer.span("serving.prepare"):
-        indexes = SnapshotIndexes(
-            tree, instance, variant, use_bitset=use_bitset,
-            tree_repr=tree_repr,
-        )
+        indexes = SnapshotIndexes(tree, instance, variant)
     return Generation(
         tree=tree,
         instance=instance,
@@ -161,8 +155,6 @@ class ServingEngine:
         cls,
         loaded: LoadedSnapshot,
         cache_size: int = 4096,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
     ) -> "ServingEngine":
         """An engine serving one loaded snapshot (generation 1)."""
         engine = cls(cache_size=cache_size)
@@ -172,8 +164,6 @@ class ServingEngine:
                 loaded.instance,
                 loaded.variant,
                 snapshot_id=loaded.info.snapshot_id,
-                use_bitset=use_bitset,
-                tree_repr=tree_repr,
             )
         )
         return engine
@@ -185,17 +175,10 @@ class ServingEngine:
         instance: OCTInstance,
         variant: Variant,
         cache_size: int = 4096,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
     ) -> "ServingEngine":
         """An engine serving an in-memory tree (no snapshot store)."""
         engine = cls(cache_size=cache_size)
-        engine.publish(
-            prepare_generation(
-                tree, instance, variant, use_bitset=use_bitset,
-                tree_repr=tree_repr,
-            )
-        )
+        engine.publish(prepare_generation(tree, instance, variant))
         return engine
 
     def publish(self, generation: Generation) -> Generation:
@@ -284,8 +267,6 @@ class ServingEngine:
             tracer.count("serving.requests")
             tracer.count(f"serving.op.{op}")
             tracer.count("serving.latency_us", int(wall * 1e6))
-            if gen.indexes.tree_repr == "succinct":
-                tracer.count("serving.succinct.requests")
 
     # -- read operations ----------------------------------------------------
 
@@ -312,11 +293,9 @@ class ServingEngine:
     def categorize_items(self, items: Iterable[Item]) -> list[list[dict]]:
         """Batched :meth:`categorize_item`: one result list per item.
 
-        All placement paths resolve through one
-        :meth:`~repro.serving.indexes.BaseSnapshotIndexes.paths_to_root_batch`
-        call, so a succinct-backed generation shares every common path
-        prefix via a single LCA sweep instead of one root walk per item.
-        Results are exactly what the per-item op returns, in input order.
+        Each distinct placement's root path is walked once for the whole
+        batch. Results are exactly what the per-item op returns, in input
+        order.
         """
         batch = tuple(items)
 
@@ -324,7 +303,7 @@ class ServingEngine:
             ix = gen.indexes
             placements = [ix.placements(item) for item in batch]
             all_cids = {cid for cids in placements for cid in cids}
-            paths = ix.paths_to_root_batch(all_cids)
+            paths = {cid: ix.path_to_root(cid) for cid in all_cids}
             return [
                 [
                     {
@@ -362,8 +341,9 @@ class ServingEngine:
     def browse(self, cid: int | None = None) -> dict:
         """One navigation page: a category, its path, and its children.
 
-        ``cid=None`` browses the root. Raises ``KeyError`` for unknown
-        cids (the HTTP layer maps that to 404).
+        ``cid=None`` browses the root. Raises
+        :class:`~repro.serving.indexes.UnknownCategory` for unknown cids
+        (the HTTP layer maps that to 404).
         """
 
         def compute(gen: Generation) -> dict:
@@ -397,7 +377,7 @@ class ServingEngine:
 
         def compute(gen: Generation) -> list[dict]:
             ix = gen.indexes
-            ix.category(cid)  # raise KeyError before caching anything
+            ix.category(cid)  # raise UnknownCategory before caching
             return [
                 {"cid": p, "label": ix.label_of(p)}
                 for p in ix.path_to_root(cid)
@@ -514,7 +494,6 @@ class ServingEngine:
             "snapshot_id": gen.snapshot_id if gen is not None else "",
             "variant": gen.variant.describe() if gen is not None else "",
             "n_categories": gen.indexes.n_categories if gen is not None else 0,
-            "uses_bitset": gen.indexes.uses_bitset if gen is not None else False,
             "cache": {
                 "size": len(cache),
                 "maxsize": cache.maxsize,

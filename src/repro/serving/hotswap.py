@@ -53,9 +53,7 @@ class HotSwapper:
     def __init__(
         self,
         engine: ServingEngine,
-        use_bitset: bool | None = None,
         backend: str = "object",
-        tree_repr: str | None = None,
         shaping_budget: "ShapingBudget | None" = None,
         cost_model: "CostModel | None" = None,
     ) -> None:
@@ -64,11 +62,7 @@ class HotSwapper:
                 f"backend must be 'object' or 'mmap', got {backend!r}"
             )
         self.engine = engine
-        self.use_bitset = use_bitset
         self.backend = backend
-        # None = each backend's default ("flat" for object generations,
-        # auto-resolution for mmap'ed flat files).
-        self.tree_repr = tree_repr
         self.shaping_budget = shaping_budget
         self.cost_model = cost_model
         self.last_shaping: "ShapingResult | None" = None
@@ -105,18 +99,13 @@ class HotSwapper:
         if self.backend == "mmap":
             from repro.serving.shm import prepare_mmap_generation
 
-            return prepare_mmap_generation(
-                store, snapshot_id, use_bitset=self.use_bitset,
-                tree_repr=self.tree_repr,
-            )
+            return prepare_mmap_generation(store, snapshot_id)
         loaded = store.load(snapshot_id)
         return prepare_generation(
             loaded.tree,
             loaded.instance,
             loaded.variant,
             snapshot_id=loaded.info.snapshot_id,
-            use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
         )
 
     def generation_from_build(
@@ -135,17 +124,12 @@ class HotSwapper:
         with tracer.span("serving.rebuild"):
             tree = builder.build(instance, variant)
         tree = self._maybe_shape(tree, instance, variant)
-        snapshot_id = ""
         if store is not None:
             snapshot_id = store.save(tree, instance, variant).snapshot_id
             # Serve the snapshot's canonical (round-tripped) form, so a
             # later reload from disk is indistinguishable from this build.
             return self.generation_from_store(store, snapshot_id)
-        return prepare_generation(
-            tree, instance, variant,
-            snapshot_id=snapshot_id, use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
-        )
+        return prepare_generation(tree, instance, variant)
 
     def generation_from_delta(
         self,
@@ -195,11 +179,7 @@ class HotSwapper:
             snapshot_id = store.save(tree, instance, variant).snapshot_id
             IncrementalStateStore(store.root).save(snapshot_id, new_state)
             return self.generation_from_store(store, snapshot_id)
-        return prepare_generation(
-            tree, instance, variant,
-            snapshot_id="", use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
-        )
+        return prepare_generation(tree, instance, variant)
 
     # -- swapping ------------------------------------------------------------
 

@@ -13,8 +13,7 @@ Endpoints (all JSON):
 ``GET /categorize?item=`` the item's branch placements
 ``GET /categorize-batch?items=a,b,c``
                           batched categorize: one placement list per
-                          item (succinct generations share path
-                          prefixes through one LCA sweep)
+                          item
 ``GET /best-category?items=a,b,c[&delta=0.7][&variant=spec]``
                           best-scoring category for a query result set
 ``GET /browse[?cid=N]``   one navigation page (root when ``cid`` omitted)
@@ -33,7 +32,8 @@ Endpoints (all JSON):
 ========================  =====================================================
 
 Errors: 400 on malformed parameters, 404 on unknown paths/cids, 409 when
-``/admin/swap`` is called on a server without a snapshot store.
+``/admin/swap`` is called on a server without a snapshot store, 500 on
+anything else (an internal bug is never reported as a client error).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.serving.engine import ServingEngine
 from repro.serving.hotswap import HotSwapper
+from repro.serving.indexes import UnknownCategory
 from repro.serving.snapshot import SnapshotError, SnapshotStore, variant_from_spec
 
 
@@ -77,7 +78,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         reuse_port: bool = False,
         worker_id: int | None = None,
         backend: str = "object",
-        tree_repr: str | None = None,
     ) -> None:
         # server_bind runs inside super().__init__, so the bind options
         # must be set first.
@@ -85,7 +85,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.store = store
-        self.swapper = HotSwapper(engine, backend=backend, tree_repr=tree_repr)
+        self.swapper = HotSwapper(engine, backend=backend)
         self.quiet = quiet
         self.max_requests = max_requests
         self.worker_id = worker_id
@@ -211,9 +211,9 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except _BadRequest as exc:
             self._reply(400, {"error": str(exc)})
-        except KeyError as exc:
+        except UnknownCategory as exc:
             self._reply(404, {"error": f"unknown category {exc}"})
-        except Exception as exc:  # pragma: no cover - defensive 500
+        except Exception as exc:
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
@@ -391,22 +391,18 @@ def make_server(
     reuse_port: bool = False,
     worker_id: int | None = None,
     backend: str = "object",
-    tree_repr: str | None = None,
 ) -> ServingHTTPServer:
     """Bind a serving HTTP server (``port=0`` picks a free port).
 
     The caller drives it: ``serve_forever()`` inline, or on a thread via
     :func:`serve_in_background`. The bound port is ``server.server_port``.
     ``backend="mmap"`` makes ``/admin/swap`` reload snapshots through the
-    flat mmap layout instead of deserializing them; ``tree_repr``
-    selects the representation swapped-in generations use (None = the
-    backend default).
+    flat mmap layout instead of deserializing them.
     """
     return ServingHTTPServer(
         (host, port), engine, store=store,
         max_requests=max_requests, quiet=quiet,
         reuse_port=reuse_port, worker_id=worker_id, backend=backend,
-        tree_repr=tree_repr,
     )
 
 

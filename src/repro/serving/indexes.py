@@ -4,24 +4,25 @@ A :class:`SnapshotIndexes` is computed once when a snapshot is loaded
 (off the request path — see :mod:`repro.serving.hotswap`) and answers
 every read-side question without walking or mutating the tree:
 
-* **item -> category postings** — for each item, the categories that
-  contain it (pre-order) and the *minimal* (most-specific) ones, i.e.
-  the item's branch/leaf placements;
+* **item -> category postings** — for each item, the pre-order rows of
+  the categories that contain it and the cids of the *minimal*
+  (most-specific) ones, i.e. the item's branch/leaf placements;
 * **label lookup** — a :class:`repro.search.SearchEngine` over category
   labels, so free-text navigation queries resolve to categories;
-* **packed category bitsets** — each category's item set packed into a
-  :class:`repro.core.bitset.BitsetUniverse` row, so ``best_category``
-  scores a query against *all* categories with one AND+popcount pass of
-  the PR 1 kernel instead of per-category Python set ops.
+* **parent pointers** — root paths and ancestor tests walk
+  ``parent_of``; the trees are shallow, so the walk is a handful of
+  dict lookups.
 
+``best_category`` counts a query's postings by pre-order row and sorts
+only the touched rows, so its cost follows the query, not the tree.
 Scoring reuses the scalar
 :func:`repro.core.similarity.variant_score_from_sizes` on the
-intersection counts, so both the bitset and the postings path return
-bit-identical scores to the offline :func:`repro.core.scoring.score_tree`
-reference (the differential test in ``tests/test_serving_engine.py``
-pins this). Ties between equally scoring categories break exactly like
-the offline scorer — higher precision, then greater depth — with the
-lower cid as the final deterministic tie-break.
+intersection counts, so it returns bit-identical scores to the offline
+:func:`repro.core.scoring.score_tree` reference (the differential test
+in ``tests/test_serving_engine.py`` pins this). Ties between equally
+scoring categories break exactly like the offline scorer — higher
+precision, then greater depth — with the lower cid as the final
+deterministic tie-break.
 """
 
 from __future__ import annotations
@@ -29,22 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from repro.core import bitset
 from repro.core.input_sets import OCTInstance
 from repro.core.similarity import variant_score_from_sizes
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
-from repro.observability import get_tracer
 from repro.search.engine import SearchEngine
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    EulerTour,
-    decode_postings,
-    encode_postings,
-    validate_tree_repr,
-)
 
 Item = Hashable
+
+
+class UnknownCategory(KeyError):
+    """A cid that names no category of the serving tree.
+
+    The HTTP layer maps exactly this error to 404; any other exception,
+    a bare ``KeyError`` from a bug included, is a 500.
+    """
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class BaseSnapshotIndexes:
     sizes: "object"  # cid -> |items| mapping (dict or flat-array view)
     depths: "object"  # cid -> depth mapping
     parent_of: "object"  # cid -> parent cid | None mapping
-    # Set by succinct-backed subclasses; None keeps every default on the
-    # flat pointer-chase code paths.
-    tree_repr: str = "flat"
-    _euler: "EulerTour | None" = None
 
     def label_of(self, cid: int) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -86,22 +82,8 @@ class BaseSnapshotIndexes:
     ) -> dict[int, int]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _row_of(self, cid: int) -> int:  # pragma: no cover - abstract
-        """The pre-order row of a cid (succinct backends only)."""
-        raise NotImplementedError
-
-    def _cid_of(self, row: int) -> int:  # pragma: no cover - abstract
-        """The cid at a pre-order row (succinct backends only)."""
-        raise NotImplementedError
-
     def path_to_root(self, cid: int) -> list[int]:
         """Root-to-``cid`` cid path, inclusive (no scan: O(answer))."""
-        if self._euler is not None:
-            cid_of = self._cid_of
-            return [
-                cid_of(row)
-                for row in self._euler.walk_to_root(self._row_of(cid))
-            ]
         path = [cid]
         parent = self.parent_of[cid]
         while parent is not None:
@@ -111,39 +93,8 @@ class BaseSnapshotIndexes:
         return path
 
     def is_ancestor(self, ancestor_cid: int, cid: int) -> bool:
-        """Whether ``ancestor_cid`` lies on ``cid``'s root path (inclusive).
-
-        Succinct backends answer with one Euler-interval range check;
-        flat backends walk the (short) root path. Both agree exactly —
-        the property tier pins the equivalence on random trees.
-        """
-        if self._euler is not None:
-            return self._euler.is_ancestor(
-                self._row_of(ancestor_cid), self._row_of(cid)
-            )
+        """Whether ``ancestor_cid`` lies on ``cid``'s root path (inclusive)."""
         return ancestor_cid in self.path_to_root(cid)
-
-    def paths_to_root_batch(
-        self, cids: Iterable[int]
-    ) -> dict[int, list[int]]:
-        """Root paths for many cids at once (batched ``categorize``).
-
-        Succinct backends share every common path prefix through one
-        LCA sweep (:meth:`EulerTour.root_paths`); flat backends fall
-        back to one pointer chase per cid. Returns exactly what calling
-        :meth:`path_to_root` per cid would.
-        """
-        cids = set(cids)
-        if self._euler is None:
-            return {cid: self.path_to_root(cid) for cid in cids}
-        rows = {cid: self._row_of(cid) for cid in cids}
-        get_tracer().count("serving.succinct.batched_lca", max(0, len(rows) - 1))
-        row_paths = self._euler.root_paths(rows.values())
-        cid_of = self._cid_of
-        return {
-            cid: [cid_of(r) for r in row_paths[row]]
-            for cid, row in rows.items()
-        }
 
     def best_category(
         self,
@@ -190,15 +141,9 @@ class SnapshotIndexes(BaseSnapshotIndexes):
     """Immutable read-side indexes over one (tree, instance, variant)."""
 
     def __init__(
-        self,
-        tree: CategoryTree,
-        instance: OCTInstance,
-        variant: Variant,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
+        self, tree: CategoryTree, instance: OCTInstance, variant: Variant
     ) -> None:
         self.variant = variant
-        self.tree_repr = validate_tree_repr(tree_repr)
         cats = list(tree.categories())  # pre-order, root first
         self.by_cid: dict[int, Category] = {c.cid: c for c in cats}
         self.root_cid = tree.root.cid
@@ -211,52 +156,28 @@ class SnapshotIndexes(BaseSnapshotIndexes):
         self.children_of: dict[int, tuple[int, ...]] = {
             c.cid: tuple(child.cid for child in c.children) for c in cats
         }
+        self._cids = [c.cid for c in cats]
 
-        # Item -> containing categories (pre-order) and item -> minimal
-        # (most-specific) categories: the branch placements a bound-k
-        # item occupies. One pass each, mirroring tree.item_branch_counts.
-        postings: dict[Item, list[int]] = {}
+        # Item -> containing category rows (pre-order) and item ->
+        # minimal (most-specific) category cids: the branch placements a
+        # bound-k item occupies. One pass each, mirroring
+        # tree.item_branch_counts.
+        rows: dict[Item, list[int]] = {}
         minimal: dict[Item, list[int]] = {}
-        for cat in cats:
+        for row, cat in enumerate(cats):
             covered_by_children: set[Item] = set()
             for child in cat.children:
                 covered_by_children |= child.items
             for item in cat.items:
-                postings.setdefault(item, []).append(cat.cid)
+                rows.setdefault(item, []).append(row)
                 if item not in covered_by_children:
                     minimal.setdefault(item, []).append(cat.cid)
-        self._cids = [c.cid for c in cats]
-        self._row_of_map = {cid: row for row, cid in enumerate(self._cids)}
-        if self.tree_repr == "succinct":
-            # Euler-tour intervals + sparse-table LCA over pre-order
-            # rows, and the postings/placements delta-compressed into
-            # varint blobs (decoded on access) instead of tuple dicts —
-            # the in-process mirror of the flat layout's ROCT sections.
-            row_of = self._row_of_map
-            self._euler = EulerTour.build(
-                [
-                    row_of[c.parent.cid] if c.parent is not None else -1
-                    for c in cats
-                ],
-                [c.depth for c in cats],
-            )
-            self._post_var: dict[Item, bytes] = {
-                item: encode_postings(row_of[cid] for cid in cids)
-                for item, cids in postings.items()
-            }
-            self._place_var: dict[Item, bytes] = {
-                item: encode_postings(row_of[cid] for cid in cids)
-                for item, cids in minimal.items()
-            }
-            self.item_postings: dict[Item, tuple[int, ...]] = {}
-            self.item_placements: dict[Item, tuple[int, ...]] = {}
-        else:
-            self.item_postings = {
-                item: tuple(cids) for item, cids in postings.items()
-            }
-            self.item_placements = {
-                item: tuple(cids) for item, cids in minimal.items()
-            }
+        self.item_rows: dict[Item, tuple[int, ...]] = {
+            item: tuple(r) for item, r in rows.items()
+        }
+        self.item_placements: dict[Item, tuple[int, ...]] = {
+            item: tuple(cids) for item, cids in minimal.items()
+        }
 
         # Label -> category lookup over the labeled categories.
         self.label_engine = SearchEngine()
@@ -264,48 +185,31 @@ class SnapshotIndexes(BaseSnapshotIndexes):
             if cat.label:
                 self.label_engine.add_document(cat.cid, cat.label)
 
-        # Packed category bitsets (PR 1 kernel). The universe is the
-        # root's item set: every indexable item is in it, and query items
-        # outside it cannot intersect any category.
-        self._bitset: "bitset.BitsetUniverse | None" = None
-        if bitset.should_use(len(cats), len(tree.root.items), use_bitset):
-            self._bitset = bitset.BitsetUniverse(
-                [c.items for c in cats], universe=tree.root.items
-            )
-
     # -- simple lookups ------------------------------------------------------
 
     @property
     def n_categories(self) -> int:
         return len(self.by_cid)
 
-    @property
-    def uses_bitset(self) -> bool:
-        return self._bitset is not None
-
     def category(self, cid: int) -> Category:
-        """The category for a cid; raises ``KeyError`` when unknown."""
-        return self.by_cid[cid]
-
-    def _row_of(self, cid: int) -> int:
-        return self._row_of_map[cid]
-
-    def _cid_of(self, row: int) -> int:
-        return self._cids[row]
+        """The category for a cid; raises :class:`UnknownCategory`."""
+        try:
+            return self.by_cid[cid]
+        except KeyError:
+            raise UnknownCategory(cid) from None
 
     def label_of(self, cid: int) -> str:
         cat = self.by_cid[cid]
         return cat.label or f"C{cat.cid}"
 
     def placements(self, item: Item) -> tuple[int, ...]:
-        """The most-specific categories containing an item ('' when unknown)."""
-        if self.tree_repr == "succinct":
-            blob = self._place_var.get(item)
-            if blob is None:
-                return ()
-            get_tracer().count("serving.succinct.postings_decoded")
-            return tuple(self._cids[row] for row in decode_postings(blob))
+        """The most-specific categories containing an item (() when unknown)."""
         return self.item_placements.get(item, ())
+
+    def postings(self, item: Item) -> tuple[int, ...]:
+        """All categories containing an item, in pre-order."""
+        cids = self._cids
+        return tuple(cids[row] for row in self.item_rows.get(item, ()))
 
     def find_labels(self, query: str, top_k: int = 10):
         """Scored category hits for a free-text label query."""
@@ -314,59 +218,11 @@ class SnapshotIndexes(BaseSnapshotIndexes):
     # -- query scoring -------------------------------------------------------
 
     def intersection_counts(self, items: frozenset) -> dict[int, int]:
-        """``{cid: |q ∩ C|}`` for the nonzero categories, cid-ascending.
-
-        Uses the packed bitset kernel when available (one AND+popcount
-        pass over all category rows), the item postings otherwise. Both
-        paths return identical dicts.
-        """
-        if self.tree_repr == "succinct":
-            known = [i for i in items if i in self._post_var]
-            if not known:
-                return {}
-            # Large fan-in amortizes the dense AND+popcount pass; small
-            # queries win by decoding a handful of varint rows. Both
-            # arms emit row-ascending (= pre-order = cid-table order).
-            if (
-                self._bitset is not None
-                and len(known) >= BITSET_FANIN_THRESHOLD
-            ):
-                get_tracer().count("serving.succinct.bitset_fanin")
-                sizes = self._bitset.intersection_sizes(
-                    self._bitset.pack(known)
-                )
-                return {
-                    self._cids[row]: int(common)
-                    for row, common in enumerate(sizes.tolist())
-                    if common
-                }
-            get_tracer().count(
-                "serving.succinct.postings_decoded", len(known)
-            )
-            row_counts: dict[int, int] = {}
-            for item in known:
-                for row in decode_postings(self._post_var[item]):
-                    row_counts[row] = row_counts.get(row, 0) + 1
-            return {
-                self._cids[row]: row_counts[row]
-                for row in sorted(row_counts)
-            }
-        if self._bitset is not None:
-            known = [i for i in items if i in self._bitset.index]
-            if not known:
-                return {}
-            sizes = self._bitset.intersection_sizes(self._bitset.pack(known))
-            return {
-                self._cids[row]: int(common)
-                for row, common in enumerate(sizes.tolist())
-                if common
-            }
+        """``{cid: |q ∩ C|}`` for the nonzero categories, in pre-order."""
         counts: dict[int, int] = {}
+        item_rows = self.item_rows
         for item in items:
-            for cid in self.item_postings.get(item, ()):
-                counts[cid] = counts.get(cid, 0) + 1
-        # Postings insert in query-item order; normalize to the bitset
-        # path's pre-order (row) order for dict-level equality.
-        return {
-            cid: counts[cid] for cid in self._cids if cid in counts
-        }
+            for row in item_rows.get(item, ()):
+                counts[row] = counts.get(row, 0) + 1
+        cids = self._cids
+        return {cids[row]: counts[row] for row in sorted(counts)}

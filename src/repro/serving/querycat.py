@@ -18,9 +18,8 @@ Stages, in order:
    (:class:`repro.core.bitset.BitsetUniverse`); the best candidate wins
    outright when its Jaccard reaches the confidence threshold.
 3. **backoff** — otherwise walk the best candidate's root path upward
-   (Euler-tour ancestor tests on succinct backends) and stop at the
-   deepest ancestor whose *subtree* accumulates enough relevance mass
-   from all candidates, bottoming out at the root.
+   and stop at the deepest ancestor whose *subtree* accumulates enough
+   relevance mass from all candidates, bottoming out at the root.
 
 Queries with no usable tokens resolve to stage ``empty``; queries whose
 tokens match no label resolve to stage ``nohit`` (both uncategorized).

@@ -21,39 +21,33 @@ truncated write is detected structurally before any section is trusted
 SnapshotStore` means readers should never see one, but crash-injection
 tests do).
 
-Sections (``i64``/``u64`` arrays are read through zero-copy
-``memoryview.cast`` views; NumPy is only needed for the packed-bitset
-intersection path and the postings fallback matches it exactly):
+Sections (every array is read through a zero-copy ``memoryview.cast``
+view; nothing is deserialized):
 
-==================  ========================================================
-``cat_cids``        row -> cid, category pre-order (root first)
-``cat_parent``      row -> parent row (-1 for the root)
-``cat_depth``       row -> depth
-``cat_size``        row -> ``|items|``
-``cat_children``    child rows, ``cat_children_off[row] .. [row+1]``
-``cat_labels``      utf-8 label blob, ``cat_label_off`` byte offsets
-``cid_to_row``      cid -> row (-1 when the cid does not exist)
-``item_keys``       canonical JSON item keys, sorted, ``item_off`` offsets
-``item_post``       item -> containing category rows (``item_post_off``)
-``item_place``      item -> minimal category rows (``item_place_off``)
-``cat_bits``        ``n_categories x n_words`` u64 bit matrix over the
-                    shard's items (bit = sorted item position)
-``tok_blob``        sorted label-search tokens (``tok_off`` offsets)
-``tok_df``          token -> document frequency
-``tok_post``        token -> label doc rows (``tok_post_off``)
-==================  ========================================================
+=====================  =====================================================
+``cat_cids``           row -> cid, category pre-order (root first)
+``cat_parent``         row -> parent row (-1 for the root)
+``cat_depth``          row -> depth
+``cat_size``           row -> ``|items|``
+``cat_children``       child rows, ``cat_children_off[row] .. [row+1]``
+``cat_labels``         utf-8 label blob, ``cat_label_off`` byte offsets
+``cid_to_row``         cid -> row (-1 when the cid does not exist)
+``item_keys``          canonical JSON item keys, sorted, ``item_off`` offsets
+``item_post_var``      item -> containing category rows, delta-varint
+                       (``item_post_voff`` byte offsets)
+``item_place_var``     item -> minimal category rows, delta-varint
+                       (``item_place_voff`` byte offsets)
+``tok_blob``           sorted label-search tokens (``tok_off`` offsets)
+``tok_df``             token -> document frequency
+``tok_post``           token -> label doc rows (``tok_post_off``)
+=====================  =====================================================
 
-Format version 2 adds the *succinct* section group (see
-:mod:`repro.serving.succinct` and the "Succinct read path" section of
-docs/operations.md): Euler-tour interval arrays (``cat_tin``/``cat_tout``),
-the sparse-table LCA structure (``euler_tour``/``euler_first``/
-``lca_sparse``), and delta-compressed varint postings
-(``item_post_var``/``item_place_var``/``cat_items_var`` with their byte
-offset arrays) that replace the dense i64 row arrays and the bit matrix
-on the sparse read path. The header's ``reprs`` list records which
-groups a file carries ("flat", "succinct", or both); readers pick via
-the ``tree_repr`` knob and :meth:`SnapshotStore.ensure_flat` recompiles
-stale or repr-missing files in place.
+Row lists are strictly increasing, so they store as LEB128 varints of
+their gaps (:func:`encode_postings`): about one byte per posting instead
+of eight. Format version 3 keeps only these sections; files written by
+older versions (v1 dense arrays, v2 dense plus Euler-tour/LCA sections)
+are recompiled in place by :meth:`SnapshotStore.ensure_flat` on first
+mmap read.
 
 Sharding splits the *item* sections by ``crc32(item key) % shard_count``;
 the category tree and label-search sections are replicated into every
@@ -78,23 +72,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from repro.core import bitset
 from repro.observability import get_tracer
 from repro.search.analyzer import tokenize
 from repro.search.engine import SearchHit
-from repro.serving.indexes import BaseSnapshotIndexes, SnapshotIndexes
-from repro.serving.snapshot import SnapshotError, variant_from_spec, variant_spec
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    EulerTour,
-    concat_postings,
-    decode_postings,
+from repro.serving.indexes import (
+    BaseSnapshotIndexes,
+    SnapshotIndexes,
+    UnknownCategory,
 )
+from repro.serving.snapshot import SnapshotError, variant_from_spec, variant_spec
 
 Item = Hashable
 
 FLAT_MAGIC = b"ROCT"
-FLAT_FORMAT_VERSION = 2
+FLAT_FORMAT_VERSION = 3
 _TRAILER_MAGIC = b"TROC"
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header byte length
 _TRAILER = struct.Struct("<4sQ")  # trailer magic, total file size
@@ -103,9 +94,8 @@ _TRAILER = struct.Struct("<4sQ")  # trailer magic, total file size
 _KINDS = {"i64": ("q", 8), "u64": ("Q", 8), "u8": ("B", 1), "i32": ("i", 4)}
 
 # Logical section groups: byte accounting for `repro inspect-snapshot`
-# and the benchmarks, and (via _GROUPS_FOR) required-section validation.
-# "tree"/"items"/"tokens" appear in every file; "dense" only when the
-# header's `reprs` includes "flat", "succinct_*" only with "succinct".
+# and the benchmarks, and required-section validation (every group is
+# in every file).
 SECTION_GROUPS: dict[str, tuple[str, ...]] = {
     "tree": (
         "cat_cids", "cat_parent", "cat_depth", "cat_size",
@@ -113,30 +103,73 @@ SECTION_GROUPS: dict[str, tuple[str, ...]] = {
         "cid_to_row",
     ),
     "items": ("item_off", "item_keys"),
-    "dense": (
-        "item_post_off", "item_post", "item_place_off", "item_place",
-        "cat_bits",
-    ),
-    "succinct_tree": (
-        "cat_tin", "cat_tout", "euler_tour", "euler_first", "lca_sparse",
-    ),
-    "succinct_postings": (
+    "postings": (
         "item_post_voff", "item_post_var", "item_place_voff",
-        "item_place_var", "cat_items_voff", "cat_items_var",
+        "item_place_var",
     ),
     "tokens": ("tok_off", "tok_blob", "tok_df", "tok_post_off", "tok_post"),
 }
 
 
-def _groups_for(reprs: Sequence[str]) -> list[str]:
-    """The section groups a file with these representations must carry."""
-    groups = ["tree", "items"]
-    if "flat" in reprs:
-        groups.append("dense")
-    if "succinct" in reprs:
-        groups += ["succinct_tree", "succinct_postings"]
-    groups.append("tokens")
-    return groups
+# -- delta-compressed varint postings ----------------------------------------
+
+
+def encode_postings(values: Iterable[int]) -> bytes:
+    """LEB128 varints of the gaps of a strictly increasing sequence.
+
+    The first gap is taken against -1, so any non-negative strictly
+    increasing sequence (including one starting at 0) encodes with every
+    gap >= 1. Raises ``ValueError`` on a non-increasing input — postings
+    are pre-order row (or sorted item-code) lists, which are strictly
+    increasing by construction.
+    """
+    out = bytearray()
+    prev = -1
+    for value in values:
+        gap = value - prev
+        if gap <= 0:
+            raise ValueError(
+                f"postings must be strictly increasing; {value} follows {prev}"
+            )
+        prev = value
+        while gap >= 0x80:
+            out.append((gap & 0x7F) | 0x80)
+            gap >>= 7
+        out.append(gap)
+    return bytes(out)
+
+
+def decode_postings(buf) -> list[int]:
+    """Invert :func:`encode_postings` (accepts bytes or a u8 memoryview)."""
+    out: list[int] = []
+    prev = -1
+    gap = 0
+    shift = 0
+    for byte in buf:
+        gap |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+        else:
+            prev += gap
+            out.append(prev)
+            gap = 0
+            shift = 0
+    if shift:
+        raise ValueError("truncated varint postings")
+    return out
+
+
+def concat_postings(lists: Sequence[Iterable[int]]) -> tuple[bytes, list[int]]:
+    """Encode many postings lists into one blob plus byte offsets.
+
+    Returns ``(blob, offsets)`` with ``len(lists) + 1`` offsets;
+    list ``i`` decodes from ``blob[offsets[i]:offsets[i + 1]]``.
+    """
+    chunks = [encode_postings(values) for values in lists]
+    offsets = [0]
+    for chunk in chunks:
+        offsets.append(offsets[-1] + len(chunk))
+    return b"".join(chunks), offsets
 
 
 def _align8(n: int) -> int:
@@ -189,11 +222,6 @@ class _SectionWriter:
             name, "i64", struct.pack(f"<{len(values)}q", *values), len(values)
         )
 
-    def add_u64(self, name: str, values: Sequence[int]) -> None:
-        self.add(
-            name, "u64", struct.pack(f"<{len(values)}Q", *values), len(values)
-        )
-
     def add_i32(self, name: str, values: Sequence[int]) -> None:
         self.add(
             name, "i32", struct.pack(f"<{len(values)}i", *values), len(values)
@@ -224,7 +252,7 @@ def _offsets(lengths: Sequence[int]) -> list[int]:
 
 
 def compile_flat_indexes(
-    indexes: SnapshotIndexes, shards: int = 1, tree_repr: str = "both"
+    indexes: SnapshotIndexes, shards: int = 1
 ) -> list[bytes]:
     """Serialize in-memory snapshot indexes into flat shard files.
 
@@ -232,33 +260,15 @@ def compile_flat_indexes(
     the tree directly) guarantees the flat file encodes exactly what the
     in-memory read path would answer — the differential tests then pin
     the mmap reader to it.
-
-    ``tree_repr`` selects the emitted section groups: ``"flat"`` (dense
-    i64 postings + bit matrix), ``"succinct"`` (Euler-tour intervals,
-    sparse-table LCA, delta-compressed varint postings), or ``"both"``
-    (the default — any reader knob works against the file).
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")
-    if tree_repr not in ("flat", "succinct", "both"):
-        raise SnapshotError(
-            f"tree_repr must be 'flat', 'succinct' or 'both', "
-            f"got {tree_repr!r}"
-        )
-    if indexes.tree_repr != "flat":
-        raise SnapshotError(
-            "compile_flat_indexes needs flat-repr indexes (the dense "
-            "postings dicts are the compilation source); got "
-            f"tree_repr={indexes.tree_repr!r}"
-        )
-    reprs = ["flat", "succinct"] if tree_repr == "both" else [tree_repr]
     tracer = get_tracer()
     with tracer.span("serving.compile_flat"):
         cids = list(indexes._cids)  # category pre-order, root first
         if any(cid < 0 for cid in cids):
             raise SnapshotError("flat snapshot layout requires cids >= 0")
         row_of = {cid: row for row, cid in enumerate(cids)}
-        n_cats = len(cids)
         max_cid = max(cids) if cids else -1
 
         labels = []
@@ -285,22 +295,9 @@ def compile_flat_indexes(
         tok_post_offsets = _offsets([len(p) for p in tok_posts])
         n_label_docs = len(tok_index.doc_lengths)
 
-        # Succinct tree structure (replicated per shard, like the other
-        # category sections): built once from the pre-order parent array.
-        euler: EulerTour | None = None
-        if "succinct" in reprs:
-            euler = EulerTour.build(
-                [
-                    row_of[p] if (p := indexes.parent_of[cid]) is not None
-                    else -1
-                    for cid in cids
-                ],
-                [indexes.depths[cid] for cid in cids],
-            )
-
         # Items, partitioned by key shard and sorted by key within it.
         per_shard: list[list[tuple[bytes, Item]]] = [[] for _ in range(shards)]
-        for item in indexes.item_postings:
+        for item in indexes.item_rows:
             key = encode_item(item)
             if key is None:
                 raise SnapshotError(
@@ -308,22 +305,21 @@ def compile_flat_indexes(
                     f"items, got {type(item).__name__}: {item!r}"
                 )
             per_shard[shard_of(key, shards)].append((key, item))
-        universe_size = len(indexes.item_postings)
+        universe_size = len(indexes.item_rows)
 
         files: list[bytes] = []
         for shard_index in range(shards):
             entries = sorted(per_shard[shard_index], key=lambda kv: kv[0])
             keys = [key for key, _ in entries]
-            item_offsets = _offsets([len(k) for k in keys])
-            posts = [
-                [row_of[cid] for cid in indexes.item_postings[item]]
-                for _, item in entries
-            ]
-            places = [
-                [row_of[cid] for cid in indexes.item_placements.get(item, ())]
-                for _, item in entries
-            ]
-            n_words = (len(entries) + 63) >> 6
+            post_blob, post_voff = concat_postings(
+                [indexes.item_rows[item] for _, item in entries]
+            )
+            place_blob, place_voff = concat_postings(
+                [
+                    [row_of[cid] for cid in indexes.placements(item)]
+                    for _, item in entries
+                ]
+            )
 
             writer = _SectionWriter()
             writer.add_i64("cat_cids", cids)
@@ -348,50 +344,12 @@ def compile_flat_indexes(
             writer.add_i64("cat_label_off", label_offsets)
             writer.add_blob("cat_labels", b"".join(labels))
             writer.add_i64("cid_to_row", cid_to_row)
-            writer.add_i64("item_off", item_offsets)
+            writer.add_i64("item_off", _offsets([len(k) for k in keys]))
             writer.add_blob("item_keys", b"".join(keys))
-            if "flat" in reprs:
-                # Dense layout: plain i64 row arrays plus the packed
-                # category-membership bit matrix over the shard's items
-                # (bit i of row r <=> item i, sorted order, is in the
-                # category at pre-order row r — exactly the postings
-                # relation, so both read paths agree by layout).
-                words = [0] * (n_cats * n_words)
-                for code, rows in enumerate(posts):
-                    word, bit = code >> 6, 1 << (code & 63)
-                    for row in rows:
-                        words[row * n_words + word] |= bit
-                writer.add_i64(
-                    "item_post_off", _offsets([len(p) for p in posts])
-                )
-                writer.add_i64("item_post", [r for per in posts for r in per])
-                writer.add_i64(
-                    "item_place_off", _offsets([len(p) for p in places])
-                )
-                writer.add_i64(
-                    "item_place", [r for per in places for r in per]
-                )
-                writer.add_u64("cat_bits", words)
-            if euler is not None:
-                for name, values in euler.arrays().items():
-                    writer.add_i32(name, values)
-                # Delta-compressed varint postings: item -> category
-                # rows, item -> minimal rows, and the transpose
-                # (category row -> sorted item codes) replacing the
-                # dense bit matrix on the sparse read path.
-                post_blob, post_voff = concat_postings(posts)
-                place_blob, place_voff = concat_postings(places)
-                cat_items: list[list[int]] = [[] for _ in range(n_cats)]
-                for code, rows in enumerate(posts):
-                    for row in rows:
-                        cat_items[row].append(code)
-                items_blob, items_voff = concat_postings(cat_items)
-                writer.add_i32("item_post_voff", post_voff)
-                writer.add_blob("item_post_var", post_blob)
-                writer.add_i32("item_place_voff", place_voff)
-                writer.add_blob("item_place_var", place_blob)
-                writer.add_i32("cat_items_voff", items_voff)
-                writer.add_blob("cat_items_var", items_blob)
+            writer.add_i32("item_post_voff", post_voff)
+            writer.add_blob("item_post_var", post_blob)
+            writer.add_i32("item_place_voff", place_voff)
+            writer.add_blob("item_place_var", place_blob)
             writer.add_i64("tok_off", tok_offsets)
             writer.add_blob("tok_blob", b"".join(tok_blobs))
             writer.add_i64("tok_df", tok_df)
@@ -405,17 +363,13 @@ def compile_flat_indexes(
                         "byteorder": sys.byteorder,
                         "variant": variant_spec(indexes.variant),
                         "root_cid": indexes.root_cid,
-                        "n_categories": n_cats,
+                        "n_categories": len(cids),
                         "max_cid": max_cid,
                         "universe_size": universe_size,
                         "n_label_docs": n_label_docs,
                         "shard_index": shard_index,
                         "shard_count": shards,
                         "n_shard_items": len(entries),
-                        "n_words": n_words,
-                        "reprs": reprs,
-                        "n_euler": len(euler.tour) if euler else 0,
-                        "lca_levels": euler.n_levels if euler else 0,
                     }
                 )
             )
@@ -554,9 +508,8 @@ class _FlatShard:
                         "extends past the end of the file"
                     )
                 self._views[name] = view[lo:hi].cast(fmt)
-            self.reprs = tuple(self.header.get("reprs", ["flat"]))
-            for group in _groups_for(self.reprs):
-                for name in SECTION_GROUPS[group]:
+            for names in SECTION_GROUPS.values():
+                for name in names:
                     if name not in self._views:
                         raise SnapshotError(
                             f"flat snapshot {self.path} is missing "
@@ -565,8 +518,6 @@ class _FlatShard:
         except Exception:
             self.close()
             raise
-        self._matrix = None  # lazy numpy view over cat_bits
-        self._var_cache: dict[str, tuple[memoryview, memoryview]] = {}
 
     def _validate(self, size: int) -> dict:
         magic, version, header_len = _PREFIX.unpack(
@@ -632,38 +583,17 @@ class _FlatShard:
                 return mid
         return None
 
-    def item_rows(self, section: str, code: int) -> memoryview:
-        """The ``item_post``/``item_place`` row slice of one item code."""
-        offsets = self._views[f"{section}_off"]
-        return self._views[section][offsets[code]: offsets[code + 1]]
-
-    def var_views(self, section: str) -> tuple[memoryview, memoryview]:
-        """Cached ``(offsets, blob)`` view pair of one varint section."""
-        try:
-            return self._var_cache[section]
-        except KeyError:
-            pair = (
-                self._views[section + "_voff"],
-                self._views[section + "_var"],
-            )
-            self._var_cache[section] = pair
-            return pair
-
-    @property
-    def matrix(self):
-        """The ``(n_categories, n_words)`` uint64 bit matrix (zero copy)."""
-        if self._matrix is None:
-            import numpy as np
-
-            spec = self.header["sections"]["cat_bits"]
-            data_start = _align8(_PREFIX.size + len(self._header_bytes))
-            self._matrix = np.frombuffer(
-                self._mm,
-                dtype=np.uint64,
-                count=spec["count"],
-                offset=data_start + spec["offset"],
-            ).reshape(self.header["n_categories"], self.header["n_words"])
-        return self._matrix
+    def item_rows(self, section: str, code: int) -> Sequence[int]:
+        """The ``item_post``/``item_place`` rows of one item code."""
+        views = self._views
+        voff, blob = views[section + "_voff"], views[section + "_var"]
+        lo, hi = voff[code], voff[code + 1]
+        if hi - lo == 1:
+            # One posting with gap < 128 — a single byte holding
+            # value + 1 (gaps are taken against -1). Placements lists
+            # are overwhelmingly singletons, so skip the decoder loop.
+            return (blob[lo] - 1,)
+        return decode_postings(blob[lo:hi])
 
     def find_token(self, token: str) -> int | None:
         """Binary search the sorted token blob; token index or None."""
@@ -710,7 +640,7 @@ class _RowMapping:
             row = cid_to_row[cid]
             if row >= 0:
                 return row
-        raise KeyError(cid)
+        raise UnknownCategory(cid)
 
     def __getitem__(self, cid: int) -> int:
         return self._view[self._row(cid)]
@@ -765,12 +695,7 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
     this object and the tiny header dicts.
     """
 
-    def __init__(
-        self,
-        paths: Sequence[str | Path],
-        use_bitset: bool | None = None,
-        tree_repr: str | None = None,
-    ) -> None:
+    def __init__(self, paths: Sequence[str | Path]) -> None:
         if not paths:
             raise SnapshotError("no flat snapshot shard files to map")
         shards = [_FlatShard(p) for p in paths]
@@ -793,24 +718,12 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
                             f"flat shard {shard.path} disagrees with "
                             f"{shards[0].path} on {field!r}"
                         )
-            reprs = shards[0].reprs
-            if tree_repr is None:
-                # Auto: prefer the dense layout when present (the
-                # serving default), fall back to whatever the file has.
-                tree_repr = "flat" if "flat" in reprs else "succinct"
-            if tree_repr not in reprs:
-                raise SnapshotError(
-                    f"flat snapshot {shards[0].path} does not carry the "
-                    f"{tree_repr!r} representation (has: {list(reprs)}); "
-                    "recompile with SnapshotStore.ensure_flat"
-                )
         except Exception:
             for shard in shards:
                 shard.close()
             raise
         self._shards = shards
         self._tree_shard = shards[0]  # category/token sections: any shard
-        self.tree_repr = tree_repr
         self.variant = variant_from_spec(first["variant"])
         self.root_cid = int(first["root_cid"])
         self._n_categories = int(first["n_categories"])
@@ -819,25 +732,6 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
         self.depths = _RowMapping(self._tree_shard, "cat_depth")
         self.parent_of = _ParentMapping(self._tree_shard, "cat_parent")
         self.children_of = _ChildrenMapping(self._tree_shard)
-        self._use_bitset = "cat_bits" in self._tree_shard._views and (
-            bitset.should_use(
-                self._n_categories, int(first["universe_size"]), use_bitset
-            )
-        )
-        if tree_repr == "succinct":
-            # Zero-copy views drive the exact same EulerTour query code
-            # the in-memory backend runs over plain lists.
-            views = self._tree_shard._views
-            self._euler = EulerTour(
-                parent=views["cat_parent"],
-                depth=views["cat_depth"],
-                tin=views["cat_tin"],
-                tout=views["cat_tout"],
-                tour=views["euler_tour"],
-                first=views["euler_first"],
-                sparse=views["lca_sparse"],
-                n_levels=int(first["lca_levels"]),
-            )
 
     # -- simple lookups ------------------------------------------------------
 
@@ -846,33 +740,11 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
         return self._n_categories
 
     @property
-    def uses_bitset(self) -> bool:
-        return self._use_bitset
-
-    @property
     def shard_count(self) -> int:
         return len(self._shards)
 
     def _row(self, cid: int) -> int:
         return self.sizes._row(cid)
-
-    def _row_of(self, cid: int) -> int:
-        return self.sizes._row(cid)
-
-    def _cid_of(self, row: int) -> int:
-        return self._tree_shard._views["cat_cids"][row]
-
-    @staticmethod
-    def _var_rows(shard: _FlatShard, section: str, code: int) -> Sequence[int]:
-        """Decode one item's varint row list from a succinct section."""
-        voff, blob = shard.var_views(section)
-        lo, hi = voff[code], voff[code + 1]
-        if hi - lo == 1:
-            # One posting with gap < 128 — a single byte holding
-            # value + 1 (gaps are taken against -1). Placements lists
-            # are overwhelmingly singletons, so skip the decoder loop.
-            return (blob[lo] - 1,)
-        return decode_postings(blob[lo:hi])
 
     def _raw_label(self, row: int) -> str:
         shard = self._tree_shard
@@ -882,7 +754,7 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
         ).decode("utf-8")
 
     def category(self, cid: int) -> FlatCategory:
-        """The category view for a cid; raises ``KeyError`` when unknown."""
+        """The category view for a cid; raises :class:`UnknownCategory`."""
         row = self._row(cid)
         shard = self._tree_shard
         return FlatCategory(
@@ -904,12 +776,7 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
         if code is None:
             return ()
         cat_cids = shard._views["cat_cids"]
-        if self.tree_repr == "succinct":
-            get_tracer().count("serving.succinct.postings_decoded")
-            rows = self._var_rows(shard, section, code)
-        else:
-            rows = shard.item_rows(section, code)
-        return tuple(cat_cids[row] for row in rows)
+        return tuple(cat_cids[row] for row in shard.item_rows(section, code))
 
     def placements(self, item: Item) -> tuple[int, ...]:
         """The most-specific categories containing an item (pre-order)."""
@@ -971,89 +838,25 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
     def intersection_counts(self, items: frozenset) -> dict[int, int]:
         """``{cid: |q ∩ C|}`` for the nonzero categories, pre-order.
 
-        Item codes resolve in their owning shard; per-shard counts come
-        from one AND+popcount pass over the mapped bit matrix (or the
-        postings fallback) and sum exactly across shards.
+        Each item resolves in its owning shard and its varint row list
+        is counted; per-row counts sum exactly across shards, and only
+        the touched rows are sorted back into pre-order.
         """
-        n_shards = len(self._shards)
-        codes_per_shard: list[list[int]] = [[] for _ in range(n_shards)]
-        n_known = 0
+        shards = self._shards
+        n_shards = len(shards)
+        counts: dict[int, int] = {}
         for item in items:
             key = encode_item(item)
             if key is None:
                 continue
-            shard_index = shard_of(key, n_shards)
-            code = self._shards[shard_index].find_item(key)
-            if code is not None:
-                codes_per_shard[shard_index].append(code)
-                n_known += 1
-        if self.tree_repr == "succinct":
-            if not n_known:
-                return {}
-            # Large fan-in amortizes the dense AND+popcount pass (when
-            # the file carries cat_bits); small queries decode a handful
-            # of varint rows. Both arms emit row-ascending dicts.
-            if self._use_bitset and n_known >= BITSET_FANIN_THRESHOLD:
-                get_tracer().count("serving.succinct.bitset_fanin")
-                return self._bitset_counts(codes_per_shard)
-            get_tracer().count(
-                "serving.succinct.postings_decoded", n_known
-            )
-            counts: dict[int, int] = {}
-            for shard_index, codes in enumerate(codes_per_shard):
-                shard = self._shards[shard_index]
-                for code in codes:
-                    for row in self._var_rows(shard, "item_post", code):
-                        counts[row] = counts.get(row, 0) + 1
-            cat_cids = self._tree_shard._views["cat_cids"]
-            return {
-                cat_cids[row]: counts[row] for row in sorted(counts)
-            }
-        if self._use_bitset:
-            return self._bitset_counts(codes_per_shard)
-        counts = {}
-        for shard_index, codes in enumerate(codes_per_shard):
-            shard = self._shards[shard_index]
-            for code in codes:
-                for row in shard.item_rows("item_post", code):
-                    counts[row] = counts.get(row, 0) + 1
-        cat_cids = self._tree_shard._views["cat_cids"]
-        return {
-            cat_cids[row]: counts[row]
-            for row in range(self._n_categories)
-            if row in counts
-        }
-
-    def _bitset_counts(
-        self, codes_per_shard: Sequence[Sequence[int]]
-    ) -> dict[int, int]:
-        """One AND+popcount pass per shard, summed exactly across shards."""
-        import numpy as np
-
-        total = None
-        for shard_index, codes in enumerate(codes_per_shard):
-            if not codes:
+            shard = shards[shard_of(key, n_shards)]
+            code = shard.find_item(key)
+            if code is None:
                 continue
-            shard = self._shards[shard_index]
-            packed = np.zeros(shard.header["n_words"], dtype=np.uint64)
-            arr = np.asarray(codes, dtype=np.int64)
-            np.bitwise_or.at(
-                packed,
-                arr >> 6,
-                np.uint64(1) << (arr & 63).astype(np.uint64),
-            )
-            sizes = bitset._popcount(shard.matrix & packed).sum(
-                -1, dtype=np.int64
-            )
-            total = sizes if total is None else total + sizes
-        if total is None:
-            return {}
+            for row in shard.item_rows("item_post", code):
+                counts[row] = counts.get(row, 0) + 1
         cat_cids = self._tree_shard._views["cat_cids"]
-        return {
-            cat_cids[row]: int(common)
-            for row, common in enumerate(total.tolist())
-            if common
-        }
+        return {cat_cids[row]: counts[row] for row in sorted(counts)}
 
     # `path_to_root` and `best_category` are inherited from
     # BaseSnapshotIndexes — literally the same code the in-memory
@@ -1071,12 +874,7 @@ class MmapSnapshotIndexes(BaseSnapshotIndexes):
         self.close()
 
 
-def prepare_mmap_generation(
-    store,
-    snapshot_id: str | None = None,
-    use_bitset: bool | None = None,
-    tree_repr: str | None = None,
-):
+def prepare_mmap_generation(store, snapshot_id: str | None = None):
     """Prepare (not publish) an mmap-backed generation from a store.
 
     The counterpart of :func:`repro.serving.engine.prepare_generation`
@@ -1094,9 +892,7 @@ def prepare_mmap_generation(
     tracer = get_tracer()
     with tracer.span("serving.prepare_mmap"):
         paths = store.ensure_flat(snapshot_id)
-        indexes = MmapSnapshotIndexes(
-            paths, use_bitset=use_bitset, tree_repr=tree_repr
-        )
+        indexes = MmapSnapshotIndexes(paths)
     return Generation(
         tree=None,
         instance=None,

@@ -211,7 +211,6 @@ class SnapshotStore:
         build_run_id: str = "",
         activate: bool = True,
         flat_shards: int = 1,
-        tree_repr: str = "both",
     ) -> SnapshotInfo:
         """Persist a built tree as a snapshot; returns its manifest.
 
@@ -220,13 +219,9 @@ class SnapshotStore:
         Saving content that already exists is a no-op (same id); with
         ``activate`` (the default) the snapshot also becomes ``CURRENT``.
 
-        ``flat_shards`` also compiles the mmap-able flat layout
-        (:mod:`repro.serving.shm`) into the staged directory, split into
-        that many item shards, so the snapshot publishes atomically with
-        both formats; ``flat_shards=0`` skips it (the flat files are
-        then compiled on first mmap use via :meth:`ensure_flat`).
-        ``tree_repr`` selects the emitted flat section groups ("flat",
-        "succinct", or "both" — the default, so any reader knob works).
+        The mmap-able flat layout (:mod:`repro.serving.shm`) is compiled
+        into the staged directory too, split into ``flat_shards`` item
+        shards, so the snapshot publishes atomically with both formats.
         """
         tree_payload = tree_to_dict(tree)
         instance_payload = instance_to_dict(instance)
@@ -259,10 +254,7 @@ class SnapshotStore:
                         json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8",
                     )
-                if flat_shards > 0:
-                    self._write_flat(
-                        staging, tree_payload, flat_shards, tree_repr
-                    )
+                self._write_flat(staging, tree_payload, flat_shards)
                 try:
                     os.replace(staging, target)
                 except OSError:  # pragma: no cover - concurrent save race
@@ -282,7 +274,6 @@ class SnapshotStore:
         directory: Path,
         tree_payload: dict,
         shards: int,
-        tree_repr: str = "both",
     ) -> list[Path]:
         """Compile and write the flat shard files into a snapshot dir.
 
@@ -306,10 +297,10 @@ class SnapshotStore:
         instance = instance_from_dict(
             json.loads((directory / _INSTANCE).read_text(encoding="utf-8"))
         )
-        indexes = SnapshotIndexes(tree, instance, variant, use_bitset=False)
+        indexes = SnapshotIndexes(tree, instance, variant)
         paths: list[Path] = []
         for shard_index, blob in enumerate(
-            compile_flat_indexes(indexes, shards=shards, tree_repr=tree_repr)
+            compile_flat_indexes(indexes, shards=shards)
         ):
             path = directory / flat_file_name(shard_index, shards)
             tmp = directory / f".{path.name}.tmp-{os.getpid()}"
@@ -322,39 +313,27 @@ class SnapshotStore:
         """The snapshot's flat shard files, sorted (empty when absent)."""
         return sorted((self.root / snapshot_id).glob(_FLAT_GLOB))
 
-    def ensure_flat(
-        self, snapshot_id: str, shards: int = 1, tree_repr: str = "both"
-    ) -> list[Path]:
+    def ensure_flat(self, snapshot_id: str, shards: int = 1) -> list[Path]:
         """The flat shard files, compiling them first when missing.
 
         Lets worker processes mmap snapshots written before the flat
-        layout existed (or saved with ``flat_shards=0``): the compile is
-        idempotent and each file is published atomically, so concurrent
-        workers race harmlessly. An existing current-version flat set
-        carrying the requested representation(s) is returned as-is
-        whatever its shard count — sharding is fixed at compile time.
-        Files written by an older format version, or missing a section
-        group ``tree_repr`` asks for, are recompiled in place at their
+        layout existed: the compile is idempotent and each file is
+        published atomically, so concurrent workers race harmlessly. An
+        existing current-version flat set is returned as-is whatever its
+        shard count — sharding is fixed at compile time. Files written
+        by an older format version are recompiled in place at their
         existing shard count (the format-version migration path: old
         stores upgrade on first read, and the atomic per-file replace
         means concurrent readers only ever see whole files).
         """
-        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_header
+        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_format_version
 
-        wanted = (
-            {"flat", "succinct"} if tree_repr == "both" else {tree_repr}
-        )
         existing = self.flat_paths(snapshot_id)
         if existing:
-            fresh = True
-            for path in existing:
-                version, header = flat_header(path)
-                if version != FLAT_FORMAT_VERSION or not wanted.issubset(
-                    header.get("reprs", ["flat"])
-                ):
-                    fresh = False
-                    break
-            if fresh:
+            if all(
+                flat_format_version(path) == FLAT_FORMAT_VERSION
+                for path in existing
+            ):
                 return existing
             # Recompile at the existing shard count so the new files
             # overwrite the old set exactly (no mixed-version leftovers).
@@ -365,7 +344,7 @@ class SnapshotStore:
         tree_payload = json.loads(
             (directory / _TREE).read_text(encoding="utf-8")
         )
-        return self._write_flat(directory, tree_payload, shards, "both")
+        return self._write_flat(directory, tree_payload, shards)
 
     def activate(self, snapshot_id: str) -> None:
         """Point ``CURRENT`` at an existing snapshot (atomic replace)."""

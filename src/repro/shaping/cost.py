@@ -1,7 +1,7 @@
 """Serving cost model for tree shaping (calibrated, not guessed).
 
 The shaper needs to predict two things about a candidate tree *without
-publishing it*: the expected per-query latency of the succinct read
+publishing it*: the expected per-query latency of the serving read
 path, and the snapshot bytes it will occupy. Both decompose over the
 workload because :meth:`BaseSnapshotIndexes.best_category` is a loop
 whose work is proportional to observable counts:
@@ -20,12 +20,12 @@ So the expected per-query cost under a workload with weights ``w`` is::
       + ns_per_path_node * E_w[ best-path nodes ]
 
 :func:`calibrate_cost_model` measures those coefficients by timing the
-real succinct :class:`~repro.serving.indexes.SnapshotIndexes` on
+real :class:`~repro.serving.indexes.SnapshotIndexes` on
 sampled workload queries and solving the least-squares fit (numpy),
 clamping coefficients at zero. Snapshot bytes are not modeled — they
 are *measured*, by running every category's item list through the same
 LEB128 delta-varint codec the flat snapshot uses
-(:func:`repro.serving.succinct.encode_postings`), plus a per-category
+(:func:`repro.serving.shm.encode_postings`), plus a per-category
 overhead constant for the header/offset/label sections.
 """
 
@@ -39,12 +39,12 @@ from repro.core.input_sets import OCTInstance
 from repro.core.scoring import category_intersections
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
-from repro.serving.succinct import encode_postings
+from repro.serving.shm import encode_postings
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-operation costs of the succinct read path.
+    """Per-operation costs of the serving read path.
 
     ``ns_*`` coefficients come from :func:`calibrate_cost_model`;
     ``bytes_per_category`` covers the flat layout's fixed per-category
@@ -197,9 +197,9 @@ def calibrate_cost_model(
     repeats: int = 3,
     bytes_per_category: float = 64.0,
 ) -> CostModel:
-    """Fit the ``ns_*`` coefficients by timing the succinct read path.
+    """Fit the ``ns_*`` coefficients by timing the serving read path.
 
-    Builds an in-memory succinct :class:`SnapshotIndexes` over the
+    Builds the in-memory :class:`SnapshotIndexes` over the
     tree, times ``best_category`` on up to ``samples`` workload queries
     (best of ``repeats`` to shed scheduler noise), and least-squares
     fits ``t ≈ base + a·postings + b·candidates + c·path`` with numpy,
@@ -210,9 +210,7 @@ def calibrate_cost_model(
 
     from repro.serving.indexes import SnapshotIndexes
 
-    indexes = SnapshotIndexes(
-        tree, instance, variant, use_bitset=False, tree_repr="succinct"
-    )
+    indexes = SnapshotIndexes(tree, instance, variant)
     feats = workload_features(tree, instance, variant)
     queries = sorted(instance, key=lambda q: -q.weight)[:samples]
 

@@ -63,3 +63,33 @@ def test_readme_quickstart_runs():
     tree = CTCR().build(instance, variant)
     tree.validate(universe=instance.universe, bound=instance.bound)
     assert score_tree(tree, instance, variant).normalized == 0.8
+
+
+def test_serving_has_one_read_path():
+    """No representation or bitset switch is left on the serving surface."""
+    import inspect
+
+    import repro.serving as serving
+
+    for gone in ("EulerTour", "TREE_REPRS", "BITSET_FANIN_THRESHOLD"):
+        assert gone not in serving.__all__
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.serving.succinct")
+    assert issubclass(serving.UnknownCategory, KeyError)
+    for api in (
+        serving.SnapshotIndexes,
+        serving.MmapSnapshotIndexes,
+        serving.ServingEngine.from_snapshot,
+        serving.ServingEngine.from_tree,
+        serving.HotSwapper,
+        serving.ServingSupervisor,
+        serving.WorkerConfig,
+        serving.make_server,
+        serving.prepare_generation,
+        serving.prepare_mmap_generation,
+        serving.SnapshotStore.save,
+        serving.SnapshotStore.ensure_flat,
+        serving.compile_flat_indexes,
+    ):
+        params = inspect.signature(api).parameters
+        assert "tree_repr" not in params and "use_bitset" not in params, api

@@ -77,16 +77,12 @@ def shop_instance():
     )
 
 
-def build_indexes(tree_repr="flat"):
+@pytest.fixture(scope="module")
+def indexes():
     instance = shop_instance()
     tree = CTCR().build(instance, VARIANT)
     apply_label_suggestions(tree, suggest_labels(tree, instance, VARIANT))
-    return SnapshotIndexes(tree, instance, VARIANT, tree_repr=tree_repr), tree
-
-
-@pytest.fixture(scope="module")
-def indexes():
-    return build_indexes()[0]
+    return SnapshotIndexes(tree, instance, VARIANT)
 
 
 def cid_of(indexes, label):
@@ -180,14 +176,6 @@ class TestStages:
         for text in QUERIES:
             result = categorize_query(indexes, text, threshold=0.8)
             assert json.loads(json.dumps(result)) == result
-
-    def test_succinct_repr_is_identical(self, indexes):
-        succinct, _tree = build_indexes(tree_repr="succinct")
-        for text in QUERIES:
-            for threshold in (0.3, 0.5, 0.8, 0.99):
-                assert categorize_query(
-                    succinct, text, threshold=threshold
-                ) == categorize_query(indexes, text, threshold=threshold)
 
 
 class TestEngineOps:
@@ -316,12 +304,10 @@ class TestDifferential:
         info = store.save(tree, instance, VARIANT, flat_shards=2)
         return store, info
 
-    def reference(self, store_info, tree_repr="flat"):
+    def reference(self, store_info):
         store, info = store_info
         loaded = store.load(info.snapshot_id)
-        indexes = SnapshotIndexes(
-            loaded.tree, loaded.instance, loaded.variant, tree_repr=tree_repr
-        )
+        indexes = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
         return [
             categorize_query(indexes, text, threshold=0.8)
             for text in QUERIES
@@ -331,16 +317,12 @@ class TestDifferential:
         expected = self.reference(store)
         _store, info = store
         paths = _store.flat_paths(info.snapshot_id)
-        for tree_repr in (None, "succinct"):
-            with MmapSnapshotIndexes(paths, tree_repr=tree_repr) as mm:
-                got = [
-                    categorize_query(mm, text, threshold=0.8)
-                    for text in QUERIES
-                ]
-            assert got == expected
-
-    def test_succinct_in_memory_matches_flat(self, store):
-        assert self.reference(store, "succinct") == self.reference(store)
+        with MmapSnapshotIndexes(paths) as mm:
+            got = [
+                categorize_query(mm, text, threshold=0.8)
+                for text in QUERIES
+            ]
+        assert got == expected
 
     def test_supervisor_matches_in_memory(self, store):
         expected = self.reference(store)

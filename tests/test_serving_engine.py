@@ -3,7 +3,7 @@
 The acceptance bar for the serving layer is *bit-identical* agreement
 with the offline scorer: for every variant, the engine's best_category
 must reproduce ``score_tree``'s per-set score/precision/depth exactly,
-on both the packed-bitset and the postings scoring paths.
+on both the in-memory and the mmap backend.
 """
 
 import threading
@@ -15,9 +15,12 @@ from repro.core import Variant, score_tree
 from repro.serving import (
     HotSwapper,
     ServingEngine,
+    MmapSnapshotIndexes,
     ServingError,
     SnapshotIndexes,
     SnapshotStore,
+    UnknownCategory,
+    compile_flat_indexes,
     prepare_generation,
 )
 
@@ -38,56 +41,41 @@ def engine(built):
 class TestDifferentialScoring:
     """Engine answers must match the offline score_tree reference."""
 
-    def _assert_matches_reference(self, tree, instance, variant, use_bitset):
-        indexes = SnapshotIndexes(
-            tree, instance, variant, use_bitset=use_bitset
-        )
+    def _assert_matches_reference(self, tree, instance, variant, tmp_path):
+        memory = SnapshotIndexes(tree, instance, variant)
+        paths = []
+        for shard_index, blob in enumerate(compile_flat_indexes(memory)):
+            paths.append(tmp_path / f"{variant.describe()}-{shard_index}")
+            paths[-1].write_bytes(blob)
         report = score_tree(tree, instance, variant)
-        for q in instance:
-            best = indexes.best_category(q.items)
-            entry = report.per_set[q.sid]
-            if entry.covered:
-                assert best is not None, (variant.describe(), q.sid)
-                assert best.score == entry.score
-                assert best.precision == entry.best_precision
-            else:
-                assert best is None, (variant.describe(), q.sid)
+        with MmapSnapshotIndexes(paths) as mapped:
+            for indexes in (memory, mapped):
+                for q in instance:
+                    best = indexes.best_category(q.items)
+                    entry = report.per_set[q.sid]
+                    if entry.covered:
+                        assert best is not None, (variant.describe(), q.sid)
+                        assert best.score == entry.score
+                        assert best.precision == entry.best_precision
+                    else:
+                        assert best is None, (variant.describe(), q.sid)
 
     def test_every_variant_matches_offline_scorer(
-        self, figure2_instance, all_variants
+        self, figure2_instance, all_variants, tmp_path
     ):
         for variant in all_variants:
             tree = CTCR().build(figure2_instance, variant)
-            for use_bitset in (False, True):
-                self._assert_matches_reference(
-                    tree, figure2_instance, variant, use_bitset
-                )
+            self._assert_matches_reference(
+                tree, figure2_instance, variant, tmp_path
+            )
 
-    def test_dataset_scale_matches_offline_scorer(self, tiny_dataset):
+    def test_dataset_scale_matches_offline_scorer(self, tiny_dataset, tmp_path):
         from repro.pipeline import preprocess
 
         variant = Variant.threshold_jaccard(0.8)
         instance, _ = preprocess(tiny_dataset, variant)
         tree = CTCR().build(instance, variant)
-        for use_bitset in (False, True):
-            self._assert_matches_reference(
-                tree, instance, variant, use_bitset
-            )
-
-    def test_bitset_and_postings_paths_identical(self, built):
-        tree, instance, variant = built
-        on = SnapshotIndexes(tree, instance, variant, use_bitset=True)
-        off = SnapshotIndexes(tree, instance, variant, use_bitset=False)
-        assert on.uses_bitset and not off.uses_bitset
-        queries = [q.items for q in instance] + [
-            frozenset({"a"}),
-            frozenset({"a", "zzz-unknown"}),
-            frozenset({"zzz-unknown"}),
-            frozenset(instance.universe),
-        ]
-        for q in queries:
-            assert on.intersection_counts(q) == off.intersection_counts(q)
-            assert on.best_category(q) == off.best_category(q)
+        self._assert_matches_reference(tree, instance, variant, tmp_path)
 
     def test_tie_break_is_deterministic_lowest_cid(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
@@ -124,10 +112,11 @@ class TestEngineOperations:
             assert child["path"][0]["cid"] == page["cid"]
 
     def test_browse_unknown_cid_raises_keyerror(self, engine):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownCategory):
             engine.browse(10_000)
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownCategory):
             engine.path_to_root(10_000)
+        assert issubclass(UnknownCategory, KeyError)
 
     def test_path_to_root_starts_at_root(self, engine):
         root_cid = engine.browse()["cid"]

@@ -9,7 +9,13 @@ import pytest
 
 from repro.algorithms import CTCR
 from repro.core import Variant
-from repro.serving import ServingEngine, SnapshotStore, make_server, serve_in_background
+from repro.serving import (
+    ServingEngine,
+    SnapshotStore,
+    make_server,
+    prepare_mmap_generation,
+    serve_in_background,
+)
 
 
 def _get(server, path):
@@ -128,8 +134,34 @@ class TestErrorMapping:
 
     def test_unknown_cid_404(self, served):
         server, _, _, _ = served
-        assert _get(server, "/browse?cid=99999")[0] == 404
+        status, body = _get(server, "/browse?cid=99999")
+        assert (status, body) == (404, {"error": "unknown category 99999"})
         assert _get(server, "/path?cid=99999")[0] == 404
+
+    def test_unknown_cid_404_on_mmap_backend(self, served):
+        _, _, store, _ = served
+        engine = ServingEngine()
+        engine.publish(prepare_mmap_generation(store))
+        server = make_server(engine, store=store, backend="mmap")
+        serve_in_background(server)
+        try:
+            status, body = _get(server, "/browse?cid=99999")
+            assert (status, body) == (404, {"error": "unknown category 99999"})
+            assert _get(server, "/path?cid=99999")[0] == 404
+        finally:
+            server.stop()
+
+    def test_internal_keyerror_is_500_not_404(self, served, monkeypatch):
+        # A bare KeyError is a bug in the server, not a missing category.
+        server, engine, _, _ = served
+
+        def broken(cid=None):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(engine, "browse", broken)
+        status, body = _get(server, "/browse?cid=1")
+        assert status == 500
+        assert body["error"].startswith("KeyError")
 
     def test_bad_params_400(self, served):
         server, _, _, _ = served

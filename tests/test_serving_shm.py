@@ -7,7 +7,8 @@ request must be indistinguishable. These tests pin that:
 
 - differential: every read op of :class:`MmapSnapshotIndexes` equals
   :class:`SnapshotIndexes` on the paper examples, a real dataset, all
-  variants, sharded and unsharded, bitset kernel on and off;
+  variants, sharded and unsharded, over trees built by every builder
+  intersection engine (``--bitset`` auto/off/on);
 - crash injection: torn, truncated, wrong-magic, corrupt-header and
   future-version flat files are rejected structurally (never a wrong
   answer, never a leaked fd);
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import CTCR
+from repro.algorithms import CTCR, CTCRConfig
 from repro.core import Variant, make_instance
 from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.serving import (
@@ -32,14 +33,15 @@ from repro.serving import (
     SnapshotStore,
     compile_flat_indexes,
     flat_file_name,
+    UnknownCategory,
     prepare_mmap_generation,
 )
 from repro.serving.indexes import SnapshotIndexes
 from repro.serving.shm import FLAT_MAGIC, _PREFIX, encode_item, shard_of
 
 
-def build_labeled_tree(instance, variant):
-    tree = CTCR().build(instance, variant)
+def build_labeled_tree(instance, variant, use_bitset=None):
+    tree = CTCR(CTCRConfig(use_bitset=use_bitset)).build(instance, variant)
     apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
     return tree
 
@@ -74,11 +76,14 @@ def assert_identical(mem: SnapshotIndexes, mm: MmapSnapshotIndexes, queries):
         assert cat.label == mem.by_cid[cid].label
         assert cat.depth == mem.depths[cid]
         assert cat.n_items == mem.sizes[cid]
+    for backend in (mem, mm):
+        with pytest.raises(UnknownCategory):
+            backend.category(max(mem._cids) + 1)
 
-    items = sorted(mem.item_postings, key=str)
+    items = sorted(mem.item_rows, key=str)
     for item in items + ["__definitely_not_an_item__", ("un", "hashable")]:
         assert mm.placements(item) == mem.placements(item)
-        assert mm.postings(item) == mem.item_postings.get(item, ())
+        assert mm.postings(item) == mem.postings(item)
 
     for query in queries:
         got = mm.intersection_counts(frozenset(query))
@@ -103,21 +108,18 @@ def queries_for(instance):
 
 class TestDifferentialIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_bitset", [False, True])
+    @pytest.mark.parametrize("use_bitset", [False, True])  # builder engine
     def test_figure2_all_variants(
         self, figure2_instance, all_variants, tmp_path, shards, use_bitset
     ):
         for i, variant in enumerate(all_variants):
-            tree = build_labeled_tree(figure2_instance, variant)
-            mem = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
-            )
+            tree = build_labeled_tree(figure2_instance, variant, use_bitset)
+            mem = SnapshotIndexes(tree, figure2_instance, variant)
             sub = tmp_path / f"v{i}"
             sub.mkdir()
             paths = write_flat(sub, mem, shards=shards)
-            with MmapSnapshotIndexes(paths, use_bitset=use_bitset) as mm:
+            with MmapSnapshotIndexes(paths) as mm:
                 assert mm.shard_count == shards
-                assert mm.uses_bitset == mem.uses_bitset
                 assert_identical(mem, mm, queries_for(figure2_instance))
 
     def test_example32(self, example32_instance, tmp_path):
@@ -128,17 +130,16 @@ class TestDifferentialIdentity:
         with MmapSnapshotIndexes(paths) as mm:
             assert_identical(mem, mm, queries_for(example32_instance))
 
-    @pytest.mark.parametrize("use_bitset", [False, True, None])
+    @pytest.mark.parametrize("use_bitset", [False, True, None])  # builder
     def test_tiny_dataset(self, tiny_dataset, tmp_path, use_bitset):
         from repro.pipeline import preprocess
 
         variant = Variant.threshold_jaccard(0.6)
         instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant)
-        mem = SnapshotIndexes(tree, instance, variant, use_bitset=use_bitset)
+        tree = build_labeled_tree(instance, variant, use_bitset)
+        mem = SnapshotIndexes(tree, instance, variant)
         paths = write_flat(tmp_path, mem, shards=4)
-        with MmapSnapshotIndexes(paths, use_bitset=use_bitset) as mm:
-            assert mm.uses_bitset == mem.uses_bitset
+        with MmapSnapshotIndexes(paths) as mm:
             assert_identical(mem, mm, queries_for(instance))
 
     def test_sharded_equals_unsharded(self, figure2_instance, tmp_path):

@@ -1,37 +1,40 @@
-"""Differential tier for the succinct tree-retrieval read path.
+"""Differential tier for the compact flat layout (format v3).
 
-The succinct representation — Euler-tour intervals, sparse-table LCA,
-delta-compressed varint postings — must be *bit-identical* to the flat
-read path: same integers, same IEEE-754 floats, same dict orders, same
-tie-breaks. These tests pin that across every layer that grew the
-``tree_repr`` knob:
+The flat snapshot stores item postings and placements as delta-varint
+row lists, and the mmap reader decodes them on every lookup. Its
+answers must be *bit-identical* to the in-memory read path — same
+integers, same IEEE-754 floats, same dict orders, same tie-breaks —
+and both must agree with the tree itself. These tests pin that:
 
-- in-memory: ``SnapshotIndexes(tree_repr="succinct")`` against the flat
-  reference, bitset kernel on and off;
-- mmap: format-v2 files carrying flat, succinct, or both
-  representations, sharded and unsharded, explicit and auto-resolved;
-- migration: format-v1 (and repr-missing) files are rejected with a
-  recompile hint and upgraded in place by ``SnapshotStore.ensure_flat``
-  at their existing shard count;
-- engine/HTTP: batched ``categorize_items`` equals the per-item loop,
-  including across a mid-run flat→succinct hot swap.
+- oracle: ``SnapshotIndexes`` and the mmap reader against a brute-force
+  oracle over the tree (counts in pre-order, minimal placements, root
+  paths, ancestors);
+- mmap: sharded and unsharded v3 files, compiled directly or written by
+  ``SnapshotStore.save``, against the in-memory reference, on every
+  variant, a real dataset and a ``repro.scale`` planted catalog with
+  string item ids (also against offline ``score_tree``);
+- layout and migration: the v3 header and section groups, and v1/v2
+  files recompiled in place by ``SnapshotStore.ensure_flat`` at their
+  existing shard count;
+- engine/HTTP: batched ``categorize_items`` equals the per-item loop on
+  both backends, including across a mid-run object→mmap hot swap.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms import CTCR
-from repro.core import Variant
-from repro.labeling import apply_label_suggestions, suggest_labels
-from repro.observability import Tracer, use_tracer
+from repro.core import Variant, score_tree
 from repro.serving import (
-    BITSET_FANIN_THRESHOLD,
+    SECTION_GROUPS,
     HotSwapper,
     MmapSnapshotIndexes,
     ServingEngine,
@@ -43,6 +46,7 @@ from repro.serving import (
     flat_format_version,
     flat_header,
     make_server,
+    prepare_mmap_generation,
     serve_in_background,
 )
 from repro.serving.indexes import SnapshotIndexes
@@ -53,42 +57,46 @@ from tests.test_serving_shm import (
     queries_for,
 )
 
+# A figure-2 snapshot store (2 shards) written by the format-v2
+# compiler, which carried both the dense and the Euler-tour/varint
+# section groups.
+V2_STORE = Path(__file__).parent / "data" / "flat_v2_store"
 
-def assert_same_reads(ref: SnapshotIndexes, other, queries):
-    """Shared read API only (works for mem-vs-mem, unlike the shm helper)."""
-    assert other.root_cid == ref.root_cid
-    assert other.n_categories == ref.n_categories
-    assert list(other.sizes) == list(ref.sizes)
-    for cid in ref.sizes:
-        assert other.sizes[cid] == ref.sizes[cid]
-        assert other.depths[cid] == ref.depths[cid]
-        assert other.parent_of[cid] == ref.parent_of[cid]
-        assert other.children_of[cid] == ref.children_of[cid]
-        assert other.label_of(cid) == ref.label_of(cid)
-        assert other.path_to_root(cid) == ref.path_to_root(cid)
-    items = sorted(ref.item_postings, key=str)
-    for item in items + ["__definitely_not_an_item__"]:
-        assert other.placements(item) == ref.placements(item)
+
+def assert_matches_tree(indexes: SnapshotIndexes, tree, queries):
+    """In-memory reads against brute force over the tree's categories."""
+    cats = list(tree.categories())  # pre-order
     for query in queries:
-        got = other.intersection_counts(frozenset(query))
-        want = ref.intersection_counts(frozenset(query))
+        want = {
+            c.cid: len(c.items & query) for c in cats if c.items & query
+        }
+        got = indexes.intersection_counts(frozenset(query))
         assert got == want
-        assert list(got) == list(want)  # same (pre-)order, not just equal
-        assert other.best_category(frozenset(query)) == (
-            ref.best_category(frozenset(query))
+        assert list(got) == list(want)  # pre-order, not just equal
+    for item in sorted(tree.root.items, key=str):
+        containing = [c for c in cats if item in c.items]
+        assert indexes.postings(item) == tuple(c.cid for c in containing)
+        assert indexes.placements(item) == tuple(
+            c.cid
+            for c in containing
+            if not any(item in child.items for child in c.children)
         )
+    for cat in cats:
+        assert indexes.path_to_root(cat.cid) == [
+            c.cid for c in cat.path_from_root()
+        ]
 
 
-def make_indexes(instance, variant=None, **kwargs):
+def make_indexes(instance, variant=None):
     variant = variant or Variant.threshold_jaccard(0.6)
     tree = build_labeled_tree(instance, variant)
-    return SnapshotIndexes(tree, instance, variant, **kwargs)
+    return SnapshotIndexes(tree, instance, variant)
 
 
-def write_flat(tmp_path, indexes, shards=1, tree_repr="both"):
+def write_flat(tmp_path, indexes, shards=1):
     paths = []
     for shard_index, blob in enumerate(
-        compile_flat_indexes(indexes, shards=shards, tree_repr=tree_repr)
+        compile_flat_indexes(indexes, shards=shards)
     ):
         path = tmp_path / flat_file_name(shard_index, shards)
         path.write_bytes(blob)
@@ -96,25 +104,22 @@ def write_flat(tmp_path, indexes, shards=1, tree_repr="both"):
     return paths
 
 
-class TestInMemorySuccinct:
-    @pytest.mark.parametrize("use_bitset", [False, True])
+class TestInMemoryReadPath:
+    @pytest.mark.parametrize("backend", ["object", "mmap"])
     def test_figure2_all_variants(
-        self, figure2_instance, all_variants, use_bitset
+        self, figure2_instance, all_variants, tmp_path, backend
     ):
-        for variant in all_variants:
+        queries = queries_for(figure2_instance)
+        for i, variant in enumerate(all_variants):
             tree = build_labeled_tree(figure2_instance, variant)
-            flat = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
-            )
-            succ = SnapshotIndexes(
-                tree,
-                figure2_instance,
-                variant,
-                use_bitset=use_bitset,
-                tree_repr="succinct",
-            )
-            assert succ.tree_repr == "succinct"
-            assert_same_reads(flat, succ, queries_for(figure2_instance))
+            indexes = SnapshotIndexes(tree, figure2_instance, variant)
+            if backend == "object":
+                assert_matches_tree(indexes, tree, queries)
+                continue
+            sub = tmp_path / f"v{i}"
+            sub.mkdir()
+            with MmapSnapshotIndexes(write_flat(sub, indexes, 2)) as mm:
+                assert_matches_tree(mm, tree, queries)
 
     def test_tiny_dataset(self, tiny_dataset):
         from repro.pipeline import preprocess
@@ -122,88 +127,51 @@ class TestInMemorySuccinct:
         variant = Variant.threshold_jaccard(0.6)
         instance, _ = preprocess(tiny_dataset, variant)
         tree = build_labeled_tree(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant)
-        succ = SnapshotIndexes(tree, instance, variant, tree_repr="succinct")
-        assert_same_reads(flat, succ, queries_for(instance))
+        indexes = SnapshotIndexes(tree, instance, variant)
+        assert_matches_tree(indexes, tree, queries_for(instance))
 
-    def test_is_ancestor_matches_paths(self, figure2_instance):
+    def test_is_ancestor_matches_paths(self, figure2_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        flat = SnapshotIndexes(tree, figure2_instance, variant)
-        succ = SnapshotIndexes(
-            tree, figure2_instance, variant, tree_repr="succinct"
-        )
-        cids = list(flat.sizes)
-        for u in cids:
-            for v in cids:
-                assert succ.is_ancestor(u, v) == flat.is_ancestor(u, v)
-
-    def test_paths_to_root_batch_matches_loop(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        cids = list(succ.sizes)
-        batch = succ.paths_to_root_batch(cids)
-        assert set(batch) == set(cids)
-        for cid in cids:
-            assert batch[cid] == succ.path_to_root(cid)
-
-    def test_bad_tree_repr_rejected(self, figure2_instance):
-        with pytest.raises(ValueError, match="tree_repr"):
-            make_indexes(figure2_instance, tree_repr="compressed")
-
-    def test_succinct_counters_emitted(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        items = sorted(succ._post_var, key=str)
-        with use_tracer(Tracer()) as tracer:
-            succ.placements(items[0])
-            succ.intersection_counts(frozenset(items[:2]))
-            succ.paths_to_root_batch(list(succ.sizes))
-        assert tracer.counters["serving.succinct.postings_decoded"] >= 3
-        assert tracer.counters["serving.succinct.batched_lca"] >= 1
-
-    def test_bitset_fanin_fallback(self, tiny_dataset):
-        # A query wide enough to cross the fan-in threshold must take the
-        # packed-bitset path (counted, and still bit-identical).
-        from repro.pipeline import preprocess
-
-        variant = Variant.threshold_jaccard(0.6)
-        instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant, use_bitset=True)
-        succ = SnapshotIndexes(
-            tree, instance, variant, use_bitset=True, tree_repr="succinct"
-        )
-        known = sorted(flat.item_postings, key=str)
-        if len(known) < BITSET_FANIN_THRESHOLD:
-            pytest.skip("dataset smaller than the fan-in threshold")
-        wide = frozenset(known[:BITSET_FANIN_THRESHOLD])
-        with use_tracer(Tracer()) as tracer:
-            got = succ.intersection_counts(wide)
-        assert tracer.counters["serving.succinct.bitset_fanin"] == 1
-        want = flat.intersection_counts(wide)
-        assert got == want and list(got) == list(want)
+        mem = SnapshotIndexes(tree, figure2_instance, variant)
+        with MmapSnapshotIndexes(write_flat(tmp_path, mem, 3)) as mm:
+            for cat in tree.categories():
+                path = cat.path_from_root()
+                for other in tree.categories():
+                    want = other in path
+                    assert mem.is_ancestor(other.cid, cat.cid) == want
+                    assert mm.is_ancestor(other.cid, cat.cid) == want
 
 
 class TestMmapDifferential:
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_bitset", [None, False])
-    def test_both_reprs_match_reference(
-        self, figure2_instance, all_variants, tmp_path, shards, use_bitset
+    @pytest.mark.parametrize("source", ["compiled", "store"])
+    def test_matches_reference(
+        self, figure2_instance, all_variants, tmp_path, shards, source
     ):
+        # "compiled": files straight from compile_flat_indexes;
+        # "store": files written by SnapshotStore.save, checked against
+        # indexes rebuilt from the reloaded tree and instance.
         for i, variant in enumerate(all_variants):
-            tree = build_labeled_tree(figure2_instance, variant)
-            mem = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
-            )
             sub = tmp_path / f"v{i}"
             sub.mkdir()
-            paths = write_flat(sub, mem, shards=shards, tree_repr="both")
-            queries = queries_for(figure2_instance)
-            for repr_ in (None, "flat", "succinct"):
-                with MmapSnapshotIndexes(
-                    paths, use_bitset=use_bitset, tree_repr=repr_
-                ) as mm:
-                    assert mm.tree_repr == (repr_ or "flat")
-                    assert_identical(mem, mm, queries)
+            if source == "compiled":
+                mem = make_indexes(figure2_instance, variant)
+                paths = write_flat(sub, mem, shards)
+            else:
+                tree = build_labeled_tree(figure2_instance, variant)
+                store = SnapshotStore(sub)
+                info = store.save(
+                    tree, figure2_instance, variant, flat_shards=shards
+                )
+                loaded = store.load(info.snapshot_id)
+                mem = SnapshotIndexes(
+                    loaded.tree, loaded.instance, loaded.variant
+                )
+                paths = store.flat_paths(info.snapshot_id)
+                assert len(paths) == shards
+            with MmapSnapshotIndexes(paths) as mm:
+                assert_identical(mem, mm, queries_for(figure2_instance))
 
     def test_tiny_dataset_succinct(self, tiny_dataset, tmp_path):
         from repro.pipeline import preprocess
@@ -213,79 +181,92 @@ class TestMmapDifferential:
         tree = build_labeled_tree(instance, variant)
         mem = SnapshotIndexes(tree, instance, variant)
         paths = write_flat(tmp_path, mem, shards=4)
-        with MmapSnapshotIndexes(paths, tree_repr="succinct") as mm:
+        with MmapSnapshotIndexes(paths) as mm:
             assert_identical(mem, mm, queries_for(instance))
 
-    def test_succinct_only_auto_resolves(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        paths = write_flat(tmp_path, mem, tree_repr="succinct")
-        with MmapSnapshotIndexes(paths) as mm:  # no flat repr to prefer
-            assert mm.tree_repr == "succinct"
-            assert_identical(mem, mm, queries_for(figure2_instance))
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_planted_catalog_string_items(self, tmp_path, shards):
+        # A repro.scale planted taxonomy with item ids as strings, the
+        # way an HTTP client sends them.
+        from repro.core.input_sets import InputSet, OCTInstance
+        from repro.scale.generator import ExtremeCatalog, scaled_spec
 
-    def test_flat_only_still_works(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        paths = write_flat(tmp_path, mem, tree_repr="flat")
-        with MmapSnapshotIndexes(paths) as mm:
-            assert mm.tree_repr == "flat"
-            assert_identical(mem, mm, queries_for(figure2_instance))
+        catalog = ExtremeCatalog(scaled_spec(3000, 160, seed=0, zipf_s=0.0))
+        instance = OCTInstance(
+            [
+                InputSet(
+                    sid=q.sid,
+                    items=frozenset(str(i) for i in q.items),
+                    weight=q.weight,
+                )
+                for q in catalog.instance()
+            ],
+            universe=[str(i) for i in range(catalog.spec.n_items)],
+        )
+        tree = catalog.planted_tree()
+        for cat in tree.categories():
+            cat.items = {str(i) for i in cat.items}
+        variant = Variant.threshold_jaccard(0.5)
+        mem = SnapshotIndexes(tree, instance, variant)
+        queries = queries_for(instance)
+        assert_matches_tree(mem, tree, queries)
+        report = score_tree(tree, instance, variant)
+        with MmapSnapshotIndexes(write_flat(tmp_path, mem, shards)) as mm:
+            assert_identical(mem, mm, queries)
+            for q in instance:
+                best = mm.best_category(q.items)
+                entry = report.per_set[q.sid]
+                if entry.covered:
+                    assert (best.score, best.precision) == (
+                        entry.score, entry.best_precision
+                    )
+                else:
+                    assert best is None
 
     def test_compile_is_deterministic(self, figure2_instance):
         mem = make_indexes(figure2_instance)
-        assert compile_flat_indexes(mem, shards=2, tree_repr="both") == (
-            compile_flat_indexes(mem, shards=2, tree_repr="both")
+        assert compile_flat_indexes(mem, shards=2) == (
+            compile_flat_indexes(mem, shards=2)
         )
 
-    def test_compile_rejects_succinct_source(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="flat-repr"):
-            compile_flat_indexes(succ)
 
-    def test_compile_rejects_unknown_repr(self, figure2_instance):
+class TestFlatLayout:
+    def test_missing_section_rejected(self, figure2_instance, tmp_path):
         mem = make_indexes(figure2_instance)
-        with pytest.raises(SnapshotError, match="tree_repr"):
-            compile_flat_indexes(mem, tree_repr="sparse")
-
-
-class TestReprSelection:
-    def test_missing_repr_rejected(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        (tmp_path / "f").mkdir()
-        (tmp_path / "s").mkdir()
-        flat_only = write_flat(tmp_path / "f", mem, tree_repr="flat")
-        succ_only = write_flat(tmp_path / "s", mem, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes(flat_only, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes(succ_only, tree_repr="flat")
+        path = write_flat(tmp_path, mem)[0]
+        blob = bytearray(path.read_bytes())
+        header_len = struct.unpack_from("<Q", blob, 8)[0]
+        header = blob[_PREFIX.size: _PREFIX.size + header_len]
+        # Rename the section in place (same length keeps every offset).
+        blob[_PREFIX.size: _PREFIX.size + header_len] = header.replace(
+            b'"item_post_var"', b'"item_post_xxx"'
+        )
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="missing section"):
+            MmapSnapshotIndexes([path])
 
     def test_flat_header_and_version(self, figure2_instance, tmp_path):
         mem = make_indexes(figure2_instance)
         path = write_flat(tmp_path, mem)[0]
-        assert flat_format_version(path) == 2
+        assert flat_format_version(path) == 3
         version, header = flat_header(path)
-        assert version == 2
-        assert sorted(header["reprs"]) == ["flat", "succinct"]
-        assert header["n_euler"] == 2 * header["n_categories"] - 1
+        assert version == 3
+        assert "reprs" not in header
+        assert header["n_categories"] == mem.n_categories
 
     def test_describe_flat_sections(self, figure2_instance, tmp_path):
         mem = make_indexes(figure2_instance)
         path = write_flat(tmp_path, mem)[0]
         desc = describe_flat(path)
-        assert desc["format_version"] == 2
+        assert desc["format_version"] == 3
         assert desc["file_bytes"] == path.stat().st_size
-        names = {s["name"] for s in desc["sections"]}
-        for wanted in (
-            "cat_tin", "cat_tout", "euler_tour", "euler_first",
-            "lca_sparse", "item_post_voff", "item_post_var",
-            "item_place_voff", "item_place_var", "cat_items_voff",
-            "cat_items_var", "cat_bits",
-        ):
-            assert wanted in names
         groups = {s["name"]: s["group"] for s in desc["sections"]}
-        assert groups["cat_tin"] == "succinct_tree"
-        assert groups["item_post_var"] == "succinct_postings"
-        assert groups["cat_bits"] == "dense"
+        assert groups == {
+            name: group
+            for group, names in SECTION_GROUPS.items()
+            for name in names
+        }
+        assert groups["item_post_var"] == "postings"
         assert all(s["bytes"] >= 0 for s in desc["sections"])
 
 
@@ -323,29 +304,38 @@ class TestMigration:
         paths = store.ensure_flat(info.snapshot_id)
         assert len(paths) == 3  # recompiled at the existing shard count
         for path in paths:
-            assert flat_format_version(path) == 2
+            assert flat_format_version(path) == 3
         loaded = store.load(info.snapshot_id)
         mem = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
-        for repr_ in ("flat", "succinct"):
-            with MmapSnapshotIndexes(paths, tree_repr=repr_) as mm:
-                assert_identical(mem, mm, queries_for(figure2_instance))
+        with MmapSnapshotIndexes(paths) as mm:
+            assert_identical(mem, mm, queries_for(figure2_instance))
 
-    def test_ensure_flat_upgrades_single_repr_files(
+    def test_v2_store_recompiled_on_first_mmap_read(
         self, figure2_instance, tmp_path
     ):
-        # A flat-only snapshot is stale once "both" is wanted: ensure_flat
-        # recompiles it in place so succinct readers can map it.
-        store, info = self._save(
-            figure2_instance, tmp_path, tree_repr="flat"
-        )
-        path = store.flat_paths(info.snapshot_id)[0]
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes([path], tree_repr="succinct")
-        paths = store.ensure_flat(info.snapshot_id)
-        _, header = flat_header(paths[0])
-        assert sorted(header["reprs"]) == ["flat", "succinct"]
-        with MmapSnapshotIndexes(paths, tree_repr="succinct") as mm:
-            assert mm.tree_repr == "succinct"
+        shutil.copytree(V2_STORE, tmp_path, dirs_exist_ok=True)
+        store = SnapshotStore(tmp_path)
+        snapshot_id = store.current_id()
+        old = store.flat_paths(snapshot_id)
+        assert len(old) == 2
+        for path in old:
+            version, header = flat_header(path)
+            assert version == 2
+            assert sorted(header["reprs"]) == ["flat", "succinct"]
+        with pytest.raises(SnapshotError, match="ensure_flat"):
+            MmapSnapshotIndexes(old)
+
+        generation = prepare_mmap_generation(store)
+        paths = store.flat_paths(snapshot_id)
+        assert paths == old  # the same files, replaced in place
+        for path in paths:
+            version, header = flat_header(path)
+            assert version == 3 and "reprs" not in header
+        loaded = store.load(snapshot_id)
+        mem = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
+        with generation.indexes as mm:
+            assert mm.shard_count == 2
+            assert_identical(mem, mm, queries_for(figure2_instance))
 
     def test_ensure_flat_idempotent_when_fresh(
         self, figure2_instance, tmp_path
@@ -386,41 +376,30 @@ class TestEngineBatched:
         store.save(tree, instance, variant)
         return store
 
-    @pytest.mark.parametrize("tree_repr", ["flat", "succinct"])
+    @pytest.mark.parametrize("backend", ["object", "mmap"])
     def test_batch_equals_per_item_loop(
-        self, figure2_instance, tmp_path, tree_repr
+        self, figure2_instance, tmp_path, backend
     ):
         store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr=tree_repr
-        )
+        engine = ServingEngine()
+        HotSwapper(engine, backend=backend).swap_from_store(store)
         items = sorted(figure2_instance.universe, key=str)
         items.append("__unknown__")
         batch = engine.categorize_items(items)
         assert batch == [engine.categorize_item(item) for item in items]
 
     def test_batch_across_hot_swap(self, figure2_instance, tmp_path):
-        # Mid-run flat -> succinct swap: the generation bumps, the
-        # answers do not.
+        # Mid-run object -> mmap swap: the generation bumps, the answers
+        # do not.
         store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(store.load(), tree_repr="flat")
+        engine = ServingEngine.from_snapshot(store.load())
         items = sorted(figure2_instance.universe, key=str)
         before = engine.categorize_items(items)
         generation_before = engine.generation
-        swapper = HotSwapper(engine, tree_repr="succinct")
-        swapper.swap_from_store(store)
+        HotSwapper(engine, backend="mmap").swap_from_store(store)
         assert engine.generation == generation_before + 1
-        assert engine.current.indexes.tree_repr == "succinct"
+        assert isinstance(engine.current.indexes, MmapSnapshotIndexes)
         assert engine.categorize_items(items) == before
-
-    def test_succinct_requests_counter(self, figure2_instance, tmp_path):
-        store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr="succinct"
-        )
-        with use_tracer(Tracer()) as tracer:
-            engine.browse()
-        assert tracer.counters["serving.succinct.requests"] == 1
 
 
 class TestHTTPBatch:
@@ -430,10 +409,8 @@ class TestHTTPBatch:
         tree = CTCR().build(figure2_instance, variant)
         store = SnapshotStore(tmp_path)
         store.save(tree, figure2_instance, variant)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr="succinct"
-        )
-        server = make_server(engine, store=store, tree_repr="succinct")
+        engine = ServingEngine.from_snapshot(store.load())
+        server = make_server(engine, store=store)
         serve_in_background(server)
         yield server, engine
         server.stop()
@@ -475,10 +452,10 @@ class TestInspectSnapshotCLI:
         rc = main(["inspect-snapshot", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "shard 1/2" in out and "shard 2/2" in out
-        assert "cat_tin" in out and "cat_bits" in out
+        assert "format v3, shard 1/2" in out and "shard 2/2" in out
+        assert "item_post_var" in out and "postings" in out
+        assert "reprs" not in out
         assert "group subtotals" in out
-        assert "x smaller" in out  # the dense-vs-succinct comparison
 
     def test_empty_store_is_an_error(self, tmp_path, capsys):
         from repro.cli import main

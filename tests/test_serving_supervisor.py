@@ -292,3 +292,69 @@ class TestChurn:
                 time.sleep(0.05)
             assert supervisor.alive_count() == 3
             assert supervisor.respawns >= 1
+
+
+class TestServeCommand:
+    """``repro serve --workers N``: the parent never builds an engine.
+
+    Worker processes map the snapshot themselves, so deserializing it in
+    the parent would only waste time and hand a dead engine to every
+    fork. ``ServingEngine.from_snapshot`` raises here to prove it is
+    never called; each worker exits after one request.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_parent_engine(self, monkeypatch):
+        from repro.serving import ServingEngine
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("the --workers parent built an engine")
+
+        monkeypatch.setattr(ServingEngine, "from_snapshot", classmethod(refuse))
+
+    def _serve(self, store_dir, extra_args=()):
+        import threading
+
+        from repro.cli import main
+        from repro.serving.supervisor import _free_port
+
+        port = _free_port("127.0.0.1")
+        argv = [
+            "serve", "--snapshot-dir", str(store_dir), "--port", str(port),
+            "--workers", "2", "--max-requests", "1", *extra_args,
+        ]
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(rc=main(argv)), daemon=True
+        )
+        thread.start()
+        # Fresh connections until both one-request workers have exited:
+        # the kernel spreads them across the SO_REUSEPORT listeners.
+        deadline = time.monotonic() + 60
+        while thread.is_alive() and time.monotonic() < deadline:
+            try:
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/healthz", timeout=2
+                ) as response:
+                    assert json.loads(response.read())["status"] == "ok"
+            except OSError:
+                time.sleep(0.05)
+        thread.join(5)
+        assert not thread.is_alive()
+        return result.get("rc")
+
+    def test_current_snapshot_banner_from_manifest(self, tmp_path, capsys):
+        store = SnapshotStore(tmp_path)
+        info, _, _ = publish(store)
+        assert self._serve(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert f"loaded snapshot {info.snapshot_id}" in out
+        assert "with 2 workers" in out
+
+    def test_empty_store_builds_and_saves(self, tmp_path, capsys):
+        rc = self._serve(tmp_path, ["--dataset", "A", "--scale", "0.02"])
+        assert rc == 0
+        store = SnapshotStore(tmp_path)
+        assert store.current_id() is not None
+        out = capsys.readouterr().out
+        assert f"built and saved snapshot {store.current_id()}" in out

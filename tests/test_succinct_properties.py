@@ -1,12 +1,12 @@
-"""Property tier for the succinct primitives (hypothesis, no I/O).
+"""Property tier for the compact flat layout (hypothesis).
 
-Random pre-order trees and random posting lists, checked against the
-naive definitions: interval ancestor tests against path containment,
-sparse-table LCA against path-prefix intersection, batched root paths
-against per-row walks, and the varint codec against round-tripping.
-The serving layers above are covered differentially in
-``tests/test_serving_succinct.py``; this tier pins the primitives the
-whole read path stands on.
+The varint postings codec is checked against round-tripping, and
+random catalogs check the whole mmap read path against the in-memory
+one: batched categorize over the mapped flat files (1 or 3 shards)
+equals the per-item loop over :class:`SnapshotIndexes`, and ancestor
+tests agree with the tree's own parent links. The serving layers are
+covered differentially on fixed catalogs in
+``tests/test_serving_shm.py`` and ``tests/test_serving_succinct.py``.
 """
 
 from __future__ import annotations
@@ -16,100 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Variant, make_instance
-from repro.serving import EulerTour, decode_postings, encode_postings
-from repro.serving.indexes import SnapshotIndexes
-from repro.serving.succinct import concat_postings, validate_tree_repr
-
-
-# A random pre-order tree. Contiguous pre-order means row v can only
-# hang off the rightmost spine — an ancestor of row v-1 (or v-1
-# itself); drawing from that set generates exactly the valid layouts.
-@st.composite
-def preorder_trees(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
-    parent = [-1]
-    for v in range(1, n):
-        spine = naive_path(parent, v - 1)
-        parent.append(spine[draw(st.integers(0, len(spine) - 1))])
-    depth = [0] * n
-    for v in range(1, n):
-        depth[v] = depth[parent[v]] + 1
-    return parent, depth
-
-
-def naive_path(parent, v):
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
-
-
-def naive_lca(parent, u, v):
-    ancestors = set(naive_path(parent, u))
-    for node in naive_path(parent, v):
-        if node in ancestors:
-            return node
-    raise AssertionError("one root means the walk always meets")
-
-
-class TestEulerTourProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees())
-    def test_ancestor_equals_path_containment(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
-        for u in range(len(parent)):
-            path = set(naive_path(parent, u))
-            for v in range(len(parent)):
-                assert tour.is_ancestor(v, u) == (v in path)
-
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees())
-    def test_lca_equals_naive(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
-        for u in range(len(parent)):
-            for v in range(len(parent)):
-                assert tour.lca(u, v) == naive_lca(parent, u, v)
-
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees())
-    def test_walks_and_batched_paths(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
-        rows = list(range(len(parent)))
-        batched = tour.root_paths(rows)
-        for v in rows:
-            want = naive_path(parent, v)[::-1]  # walks are root-first
-            assert tour.walk_to_root(v) == want
-            assert batched[v] == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees(), st.data())
-    def test_lca_of_subset(self, tree, data):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
-        rows = data.draw(
-            st.lists(
-                st.integers(0, len(parent) - 1), min_size=1, max_size=6
-            )
-        )
-        want = rows[0]
-        for row in rows[1:]:
-            want = naive_lca(parent, want, row)
-        assert tour.lca_of(rows) == want
-
-    def test_rejects_non_preorder(self):
-        with pytest.raises(ValueError, match="parent < row"):
-            EulerTour.build([-1, 2, 0], [0, 2, 1])
-        # Topological but interleaved: node 1's subtree {1, 3} is split
-        # by its sibling at row 2, so intervals cannot represent it.
-        with pytest.raises(ValueError, match="contiguous pre-order"):
-            EulerTour.build([-1, 0, 0, 1], [0, 1, 1, 2])
-        with pytest.raises(ValueError, match="root"):
-            EulerTour.build([0, 0], [0, 1])
-        with pytest.raises(ValueError, match="zero nodes"):
-            EulerTour.build([], [])
+from repro.serving import (
+    Generation,
+    MmapSnapshotIndexes,
+    ServingEngine,
+    compile_flat_indexes,
+    decode_postings,
+    encode_postings,
+    flat_file_name,
+)
+from repro.serving.shm import concat_postings
 
 
 class TestVarintProperties:
@@ -153,15 +69,9 @@ class TestVarintProperties:
         for i, values in enumerate(lists):
             assert decode_postings(blob[offsets[i]: offsets[i + 1]]) == values
 
-    def test_validate_tree_repr(self):
-        assert validate_tree_repr("flat") == "flat"
-        assert validate_tree_repr("succinct") == "succinct"
-        with pytest.raises(ValueError, match="tree_repr"):
-            validate_tree_repr("both")  # a compile target, not a read repr
-
 
 # Random catalogs for the end-to-end property: batched categorize over
-# the succinct indexes equals the per-item loop over the flat ones.
+# the mmap backend equals the per-item loop over the in-memory one.
 _instances = st.lists(
     st.tuples(
         st.sets(
@@ -182,18 +92,37 @@ _instances = st.lists(
 
 class TestBatchedCategorizeProperty:
     @settings(max_examples=30, deadline=None)
-    @given(_instances)
-    def test_batched_equals_per_item(self, instance):
+    @given(_instances, st.sampled_from([1, 3]))
+    def test_batched_equals_per_item(self, tmp_path_factory, instance, shards):
         from repro.algorithms import CTCR
 
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant)
-        succ = SnapshotIndexes(tree, instance, variant, tree_repr="succinct")
-        items = sorted(instance.universe, key=str)
-        cids = sorted({c for i in items for c in flat.placements(i)})
-        batched = succ.paths_to_root_batch(cids)
-        for item in items:
-            assert succ.placements(item) == flat.placements(item)
-        for cid in cids:
-            assert batched[cid] == flat.path_to_root(cid)
+        memory = ServingEngine.from_tree(tree, instance, variant, cache_size=0)
+        directory = tmp_path_factory.mktemp("flat")
+        paths = []
+        for shard_index, blob in enumerate(
+            compile_flat_indexes(memory.current.indexes, shards=shards)
+        ):
+            paths.append(directory / flat_file_name(shard_index, shards))
+            paths[-1].write_bytes(blob)
+        with MmapSnapshotIndexes(paths) as mapped_indexes:
+            mapped = ServingEngine(cache_size=0)
+            mapped.publish(
+                Generation(
+                    tree=None,
+                    instance=None,
+                    variant=variant,
+                    indexes=mapped_indexes,
+                )
+            )
+            items = sorted(instance.universe, key=str) + ["__unknown__"]
+            assert mapped.categorize_items(items) == [
+                memory.categorize_item(item) for item in items
+            ]
+            for cat in tree.categories():
+                ancestors = {c.cid for c in cat.path_from_root()}
+                for other in tree.categories():
+                    assert mapped_indexes.is_ancestor(other.cid, cat.cid) == (
+                        other.cid in ancestors
+                    )
