@@ -1,7 +1,8 @@
-"""Bitset kernel vs set-based engine on the pairwise 2-conflict stage.
+"""Bitset kernel vs the set-based oracle on the pairwise 2-conflict stage.
 
-Measures :func:`repro.conflicts.two_conflicts.compute_pairwise` under
-both engines over the Figure 8f scalability series (datasets A-D at the
+Measures :func:`repro.conflicts.two_conflicts.compute_pairwise` against
+the set-based oracle in ``tests/oracles`` over the Figure 8f scalability
+series (datasets A-D at the
 repro scale, plus a scaled-up D as the largest point — the repro scales
 sit far below the paper's sizes, so the extra point restores some of the
 growth the figure is about). The kernel's one-time packing cost is
@@ -11,10 +12,10 @@ pairwise and assignment stages, so it is not a per-stage cost.
 Checks, in bench mode (the ``--smoke`` flag relaxes to a quick parity
 run for the test suite):
 
-* both engines produce identical pair classifications everywhere;
+* both produce identical pair classifications everywhere;
 * the kernel stage is at least 5x faster on the largest instance;
-* CTCR trees built with either engine have byte-identical structure
-  and scores.
+* a CTCR build fed the oracle's analysis (through ``BuildReuse``) has
+  byte-identical structure and scores to a from-scratch build.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
 
 from benchmarks.common import bench_report
 from benchmarks.conftest import instance_for
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
+from repro.algorithms.ctcr import BuildReuse
 from repro.conflicts.ranking import rank_sets
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant, score_tree
 from repro.core.bitset import BitsetUniverse
 from repro.io import tree_to_dict
+from tests.oracles import oracle_pairwise
 
 VARIANT = Variant.threshold_jaccard(0.8)
 
@@ -50,10 +53,10 @@ SERIES = [
 SMOKE_SERIES = SERIES[:2]
 MIN_SPEEDUP_LARGEST = 5.0
 
-# Datasets whose CTCR trees are compared between engines. The small pair
-# keeps the check cheap; the structural comparison is byte-exact either
-# way (both engines classify pairs identically, so every downstream
-# stage sees the same inputs).
+# Datasets whose CTCR trees are compared between pairwise sources. The
+# small pair keeps the check cheap; the structural comparison is
+# byte-exact either way (both classify pairs identically, so every
+# downstream stage sees the same inputs).
 TREE_CHECK = ["A", "B"]
 
 
@@ -81,11 +84,8 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> list:
     instance = instance_for(name, VARIANT, **kwargs)
     ranking = rank_sets(instance)
 
-    old = compute_pairwise(instance, VARIANT, ranking, use_bitset=False)
-    t_old = _time(
-        lambda: compute_pairwise(instance, VARIANT, ranking, use_bitset=False),
-        reps,
-    )
+    old = oracle_pairwise(instance, VARIANT, ranking)
+    t_old = _time(lambda: oracle_pairwise(instance, VARIANT, ranking), reps)
     t_pack = _time(lambda: BitsetUniverse.from_instance(instance), reps)
     universe = BitsetUniverse.from_instance(instance)
     new = compute_pairwise(instance, VARIANT, ranking, universe=universe)
@@ -108,8 +108,11 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> list:
 def _assert_trees_identical(name: str) -> None:
     instance = instance_for(name, VARIANT)
     results = []
-    for flag in (False, True):
-        tree = CTCR(CTCRConfig(use_bitset=flag)).build(instance, VARIANT)
+    for reuse in (
+        BuildReuse(analysis=oracle_pairwise(instance, VARIANT)),
+        None,
+    ):
+        tree = CTCR().build(instance, VARIANT, reuse=reuse)
         report = score_tree(tree, instance, VARIANT)
         results.append((tree_to_dict(tree), report.normalized, report.total))
     assert results[0][0] == results[1][0], f"tree structure differs on {name}"

@@ -5,15 +5,16 @@ Three experiments, all written to ``benchmarks/BENCH_cct.json``:
 1. **Embedding-stage speedup** (Figure 8f series, threshold-jaccard:0.8
    — the scalability protocol's variant): ``set_embeddings`` under the
    packed-bitset kernel (output-sensitive ``intersecting_pairs`` +
-   vectorized similarity derivation) against the pre-PR pure-Python
-   double loop — inlined below verbatim so the comparison stays honest
-   as the engine evolves. The matrices are asserted bit-identical
+   vectorized similarity derivation) against the pre-kernel pure-Python
+   double loop, the oracle kept verbatim in ``tests/oracles`` so the
+   comparison stays honest as the engine evolves. The matrices are
+   asserted bit-identical
    before timing, and the largest instance must show at least a 3x
    speedup.
 
 2. **Clustering-engine comparison**: the nearest-neighbor-chain
-   agglomeration against the legacy greedy global-minimum loop over the
-   same embedding matrix (reported, not asserted — both are O(n²)
+   agglomeration against the legacy greedy global-minimum loop (the
+   oracle in ``tests/oracles``) over the same embedding matrix (reported, not asserted — both are O(n²)
    *expected*; the chain's win is its worst-case guarantee and the
    absence of per-step global scans).
 
@@ -43,13 +44,12 @@ import numpy as np
 
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
-from repro.algorithms import CCT, CCTConfig, clear_embedding_cache
-from repro.algorithms.cct import _set_embeddings_bitset
+from repro.algorithms import CCT, CCTConfig, clear_embedding_cache, set_embeddings
 from repro.algorithms.cct_cache import get_embedding_cache
 from repro.clustering import agglomerative_clustering
 from repro.core import Variant
-from repro.core.similarity import raw_similarity_from_sizes
 from repro.evaluation import threshold_sweep
+from tests.oracles import _set_embeddings_reference, legacy_clustering
 
 STAGE_VARIANT = Variant.threshold_jaccard(0.8)
 
@@ -71,33 +71,6 @@ TINY_SWEEP_DELTAS = [round(0.78 + 0.02 * i, 4) for i in range(5)]
 MIN_CACHE_HIT_RATE = 0.5
 
 
-# -- pre-PR embedding loop, inlined as the fixed baseline -------------------
-
-
-def _legacy_set_embeddings(instance, variant) -> np.ndarray:
-    """The pure-Python double loop this PR replaced (verbatim)."""
-    sets = instance.sets
-    n = len(sets)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    index_of = {q.sid: i for i, q in enumerate(sets)}
-    sizes = [len(q.items) for q in sets]
-
-    pair_inter: dict[tuple[int, int], int] = {}
-    for _item, with_item in instance.sets_containing().items():
-        ids = sorted(index_of[q.sid] for q in with_item)
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1 :]:
-                pair_inter[(a, b)] = pair_inter.get((a, b), 0) + 1
-    for (a, b), inter in pair_inter.items():
-        sim = raw_similarity_from_sizes(
-            variant.kind, sizes[a], sizes[b], inter
-        )
-        matrix[a, b] = sim
-        matrix[b, a] = sim
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
-
-
 def _time(fn, reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
@@ -114,10 +87,10 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     instance = instance_for(name, STAGE_VARIANT, **kwargs)
 
     def legacy_stage() -> np.ndarray:
-        return _legacy_set_embeddings(instance, STAGE_VARIANT)
+        return _set_embeddings_reference(instance, STAGE_VARIANT)
 
     def engine_stage() -> np.ndarray:
-        return _set_embeddings_bitset(instance, STAGE_VARIANT)
+        return set_embeddings(instance, STAGE_VARIANT)
 
     # Differential guard before timing: the engines must agree bit for
     # bit, otherwise the speedup compares different computations.
@@ -142,10 +115,10 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
 
 def _cluster_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     instance = instance_for(name, STAGE_VARIANT, **kwargs)
-    embeddings = _set_embeddings_bitset(instance, STAGE_VARIANT)
+    embeddings = set_embeddings(instance, STAGE_VARIANT)
 
     chain = agglomerative_clustering(embeddings)
-    greedy = agglomerative_clustering(embeddings, engine="legacy")
+    greedy = legacy_clustering(embeddings)
     # Same merge topology (engines only reorder tied merges; the Figure
     # 8f instances are tie-free at this variant).
     chain_sets = sorted(
@@ -158,7 +131,7 @@ def _cluster_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
 
     t_chain = _time(lambda: agglomerative_clustering(embeddings), reps)
     t_greedy = _time(
-        lambda: agglomerative_clustering(embeddings, engine="legacy"), reps
+        lambda: legacy_clustering(embeddings), reps
     )
     return {
         "instance": label,

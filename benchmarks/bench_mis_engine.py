@@ -40,10 +40,7 @@ from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
 from repro.algorithms import CTCR, CTCRConfig
 from repro.conflicts.ranking import rank_sets
-from repro.conflicts.three_conflicts import (
-    _three_conflicts_reference,
-    compute_three_conflicts,
-)
+from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.evaluation import threshold_sweep
@@ -56,6 +53,7 @@ from repro.mis.hypergraph_mis import (
     greedy_hypergraph_mis,
     solve_hypergraph_mis,
 )
+from tests.oracles import _three_conflicts_reference
 
 STAGE_VARIANT = Variant.perfect_recall(0.6)
 

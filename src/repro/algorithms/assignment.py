@@ -96,13 +96,6 @@ def cover_gap(
     return gap
 
 
-def _gain_factor(ctx: BuildContext, q: InputSet) -> float | None:
-    gap = cover_gap(ctx, q)
-    if gap is None:
-        return None
-    return _factor_from_gap(q, gap)
-
-
 def _factor_from_gap(q: InputSet, gap: int) -> float:
     if gap == 0:
         return math.inf

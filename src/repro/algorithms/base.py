@@ -44,9 +44,9 @@ class BuildContext:
     instance: OCTInstance
     variant: Variant
     designated: dict[int, Category] = field(default_factory=dict)
-    # Optional packed-bitset kernel over the instance (repro.core.bitset),
-    # shared by the stages that batch set intersections; None means the
-    # set-based paths are in force.
+    # Packed-bitset kernel over the instance (repro.core.bitset), shared
+    # by the stages that batch set intersections. CTCR attaches one; CCT
+    # does not, so its assignment stage intersects set by set.
     bitset: "BitsetUniverse | None" = None
     target_sets: dict[int, frozenset] = field(default_factory=dict)
     remaining_bound: dict[Item, int] = field(default_factory=dict)

@@ -29,7 +29,6 @@ from repro.clustering.agglomerative import agglomerative_clustering
 from repro.clustering.dendrogram import Dendrogram
 from repro.core import bitset
 from repro.core.input_sets import OCTInstance
-from repro.core.similarity import raw_similarity_from_sizes
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.observability import get_tracer
@@ -45,24 +44,15 @@ class CCTConfig:
     # Ablation: replace the global-context embeddings with plain pairwise
     # dissimilarities (1 - S(q_i, q_j)) as the clustering distance.
     global_context: bool = True
-    # Embedding-engine knobs, mirroring CTCRConfig: use_bitset=None
-    # auto-selects the packed-bitset kernel by instance size, n_jobs
-    # fans the dense intersection pass over a process pool, use_cache
-    # replays intersection counts across builds (threshold sweeps).
-    use_bitset: bool | None = None
-    n_jobs: int = 1
+    # Replay the pairwise intersection counts across builds on the same
+    # instance (threshold sweeps).
     use_cache: bool = False
-    # Clustering engine: "nn-chain" (default) or the "legacy" greedy
-    # global-minimum loop (see repro.clustering.agglomerative).
-    cluster_engine: str = "nn-chain"
 
 
 def set_embeddings(
     instance: OCTInstance,
     variant: Variant,
     *,
-    use_bitset: bool | None = None,
-    n_jobs: int = 1,
     use_cache: bool = False,
 ) -> np.ndarray:
     """The n x n similarity embeddings of Section 4.
@@ -81,67 +71,13 @@ def set_embeddings(
     >>> float(m[2, 0])            # disjoint sets embed as 0
     0.0
 
-    ``use_bitset`` selects the engine (``None`` auto-selects by instance
-    size via :func:`repro.core.bitset.should_use`); both produce
-    bit-identical matrices. ``n_jobs``/``use_cache`` only apply to the
-    kernel path.
-    """
-    if not bitset.should_use(len(instance), len(instance.universe), use_bitset):
-        return _set_embeddings_reference(instance, variant)
-    return _set_embeddings_bitset(
-        instance, variant, n_jobs=n_jobs, use_cache=use_cache
-    )
-
-
-def _set_embeddings_reference(
-    instance: OCTInstance, variant: Variant
-) -> np.ndarray:
-    """Pure-Python embedding loop: the differential oracle.
-
-    Kept verbatim as the semantic reference the kernel path is tested
-    against; only pairs that share items get a similarity entry, the
-    rest stay 0, and the diagonal is pinned to 1.
-    """
-    sets = instance.sets
-    n = len(sets)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    index_of = {q.sid: i for i, q in enumerate(sets)}
-    sizes = [len(q.items) for q in sets]
-
-    # Sparse pairwise intersections through the item -> sets index.
-    pair_inter: dict[tuple[int, int], int] = {}
-    for _item, with_item in instance.sets_containing().items():
-        ids = sorted(index_of[q.sid] for q in with_item)
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1 :]:
-                pair_inter[(a, b)] = pair_inter.get((a, b), 0) + 1
-    for (a, b), inter in pair_inter.items():
-        sim = raw_similarity_from_sizes(
-            variant.kind, sizes[a], sizes[b], inter
-        )
-        matrix[a, b] = sim
-        matrix[b, a] = sim
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
-
-
-def _set_embeddings_bitset(
-    instance: OCTInstance,
-    variant: Variant,
-    *,
-    n_jobs: int = 1,
-    use_cache: bool = False,
-) -> np.ndarray:
-    """Packed-bitset embedding engine, bit-identical to the reference.
-
     The expensive, variant-independent part — the pairwise intersection
-    counts — comes from the PR 1 kernel: the output-sensitive
-    ``intersecting_pairs`` enumeration when serial, or blocked popcount
-    rows fanned over ``utils.parallel`` when ``n_jobs != 1``. With
-    ``use_cache`` the sparse ``(ii, jj, counts)`` triple is replayed
-    across builds on the same instance (δ and even the similarity kind
-    only enter the cheap derivation below), which is what makes
-    Fig. 8g/8h-style threshold sweeps nearly free after the first point.
+    counts — comes from the packed-bitset kernel's output-sensitive
+    ``intersecting_pairs`` enumeration. With ``use_cache`` the sparse
+    ``(ii, jj, counts)`` triple is replayed across builds on the same
+    instance (δ and even the similarity kind only enter the cheap
+    derivation below), which is what makes Fig. 8g/8h-style threshold
+    sweeps nearly free after the first point.
     """
     tracer = get_tracer()
     entry = key = None
@@ -152,12 +88,7 @@ def _set_embeddings_bitset(
         tracer.count("cct.cache_hits" if entry is not None else "cct.cache_misses")
     if entry is None:
         uni = bitset.BitsetUniverse.from_instance(instance)
-        if n_jobs != 1:
-            dense = uni.pairwise_intersections(n_jobs=n_jobs)
-            iu, ju = np.nonzero(np.triu(dense, k=1))
-            counts = dense[iu, ju]
-        else:
-            iu, ju, counts = uni.intersecting_pairs()
+        iu, ju, counts = uni.intersecting_pairs()
         entry = (uni.n_sets, uni.sizes, iu, ju, counts)
         if key is not None:
             cache.put(key, entry)
@@ -197,11 +128,7 @@ class CCT(TreeBuilder):
         with tracer.span("cct.build"):
             with tracer.span("cct.embeddings"):
                 similarities = set_embeddings(
-                    instance,
-                    variant,
-                    use_bitset=self.config.use_bitset,
-                    n_jobs=self.config.n_jobs,
-                    use_cache=self.config.use_cache,
+                    instance, variant, use_cache=self.config.use_cache
                 )
             with tracer.span("cct.clustering"):
                 if self.config.global_context:
@@ -209,14 +136,12 @@ class CCT(TreeBuilder):
                         similarities,
                         linkage=self.config.linkage,
                         metric=self.config.metric,
-                        engine=self.config.cluster_engine,
                     )
                 else:
                     dendrogram = agglomerative_clustering(
                         similarities,
                         linkage=self.config.linkage,
                         precomputed=1.0 - similarities,
-                        engine=self.config.cluster_engine,
                     )
             with tracer.span("cct.skeleton"):
                 self._skeleton_from_dendrogram(ctx, dendrogram)

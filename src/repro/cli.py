@@ -105,7 +105,7 @@ def _load(args) -> tuple:
 
 
 def _jobs_arg(raw: str) -> int:
-    """Validate --jobs up front so both engines reject it identically."""
+    """Validate --mis-jobs up front, before any dataset is loaded."""
     value = int(raw)
     if value != -1 and value < 1:
         raise argparse.ArgumentTypeError(
@@ -115,30 +115,17 @@ def _jobs_arg(raw: str) -> int:
 
 
 def _ctcr_config(args) -> CTCRConfig:
-    """CTCR tuning from the common CLI flags (--jobs, --bitset, --mis-*)."""
-    use_bitset = {"auto": None, "on": True, "off": False}[
-        getattr(args, "bitset", "auto")
-    ]
+    """CTCR tuning from the common CLI flags (--mis-*)."""
     mis = MISConfig(
         n_jobs=getattr(args, "mis_jobs", 1),
         use_cache=getattr(args, "mis_cache", "on") == "on",
     )
-    return CTCRConfig(
-        mis=mis, n_jobs=getattr(args, "jobs", 1), use_bitset=use_bitset
-    )
+    return CTCRConfig(mis=mis)
 
 
 def _cct_config(args) -> CCTConfig:
-    """CCT tuning from the common CLI flags (--jobs, --bitset, --cct-*)."""
-    use_bitset = {"auto": None, "on": True, "off": False}[
-        getattr(args, "bitset", "auto")
-    ]
-    return CCTConfig(
-        n_jobs=getattr(args, "jobs", 1),
-        use_bitset=use_bitset,
-        use_cache=getattr(args, "cct_cache", "on") == "on",
-        cluster_engine=getattr(args, "cct_cluster", "nn-chain"),
-    )
+    """CCT tuning from the common CLI flags (--cct-cache)."""
+    return CCTConfig(use_cache=getattr(args, "cct_cache", "on") == "on")
 
 
 def _builder(name: str, dataset, args=None) -> TreeBuilder:
@@ -760,21 +747,6 @@ def make_parser() -> argparse.ArgumentParser:
             help="e.g. threshold-jaccard:0.8, perfect-recall:0.6, exact",
         )
         p.add_argument(
-            "--jobs",
-            type=_jobs_arg,
-            default=1,
-            help="worker processes for the parallel stages of CTCR and "
-            "CCT's embedding pass (-1 = all CPUs, default: 1)",
-        )
-        p.add_argument(
-            "--bitset",
-            choices=["auto", "on", "off"],
-            default="auto",
-            help="batched-intersection engine for CTCR and CCT: the "
-            "packed bitset kernel (on), plain set operations (off), or "
-            "size-based auto-selection (default)",
-        )
-        p.add_argument(
             "--mis-jobs",
             type=_jobs_arg,
             default=1,
@@ -797,14 +769,6 @@ def make_parser() -> argparse.ArgumentParser:
             help="memoize CCT's pairwise intersection counts across "
             "builds in this process — threshold sweeps re-derive "
             "embeddings from cached counts per delta (default: on)",
-        )
-        p.add_argument(
-            "--cct-cluster",
-            choices=["nn-chain", "legacy"],
-            default="nn-chain",
-            help="CCT clustering engine: the nearest-neighbor-chain "
-            "algorithm (default) or the legacy greedy global-minimum "
-            "loop kept for equivalence testing",
         )
         p.add_argument(
             "--trace",

@@ -5,26 +5,21 @@ measuring inter-cluster distance as the average of all pairwise
 distances (UPGMA / average linkage); single and complete linkage are
 provided for experimentation.
 
-Two engines share the Lance–Williams update and produce the same
-dendrogram topology:
+The engine is the nearest-neighbor-chain algorithm: follow
+nearest-neighbor links until a mutually-nearest pair appears, merge it,
+and continue from the remaining chain. All three linkages here are
+*reducible*, so a merge never invalidates the chain behind it and every
+cluster is visited O(1) amortized times — worst-case O(n²) time on the
+dense distance matrix, with no per-step global scan. Merges are
+discovered out of height order, so they are stably sorted by height and
+relabeled through a union-find into the :class:`Dendrogram` node-id
+convention (the same scheme SciPy uses).
 
-* ``"nn-chain"`` (default) — the nearest-neighbor-chain algorithm:
-  follow nearest-neighbor links until a mutually-nearest pair appears,
-  merge it, and continue from the remaining chain. All three linkages
-  here are *reducible*, so a merge never invalidates the chain behind
-  it and every cluster is visited O(1) amortized times — worst-case
-  O(n²) time on the dense distance matrix, with no per-step global
-  scan. Merges are discovered out of height order, so they are
-  stably sorted by height and relabeled through a union-find into the
-  :class:`Dendrogram` node-id convention (the same scheme SciPy uses).
-* ``"legacy"`` — the original greedy global-minimum loop with cached
-  per-row minima (expected O(n²), worst-case cubic). Kept as the
-  differential oracle for equivalence tests.
-
-The engines can order *tied* merges differently (and accumulate
-Lance–Williams averages in different orders, so heights match only up
-to floating-point tolerance), but on tie-free inputs the dendrograms
-are topologically identical.
+The original greedy global-minimum loop lives on in
+``tests/oracles/clustering.py`` as the differential oracle. It can order
+*tied* merges differently (and accumulates Lance–Williams averages in a
+different order, so heights match only up to floating-point tolerance),
+but on tie-free inputs the dendrograms are topologically identical.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from repro.clustering.dendrogram import Dendrogram, Merge
 from repro.clustering.distance import distance_matrix
 
 _LINKAGES = ("average", "single", "complete")
-_ENGINES = ("nn-chain", "legacy")
 
 
 def _lance_williams(
@@ -59,28 +53,21 @@ def agglomerative_clustering(
     linkage: str = "average",
     metric: str = "euclidean",
     precomputed: np.ndarray | None = None,
-    engine: str = "nn-chain",
 ) -> Dendrogram:
     """Cluster row vectors into a dendrogram.
 
     Pass ``precomputed`` to supply a ready distance matrix (``metric`` is
-    then ignored). Ties in the minimum distance break deterministically:
-    both engines prefer the lowest-index candidate, so on the classic
-    equidistant chain the left pair merges first and the dendrogram is
-    left-leaning:
+    then ignored). Ties in the minimum distance break deterministically
+    towards the lowest-index candidate, so on the classic equidistant
+    chain the left pair merges first and the dendrogram is left-leaning:
 
     >>> points = np.array([[0.0], [1.0], [2.0]])   # d(0,1) == d(1,2)
     >>> d = agglomerative_clustering(points)
     >>> [(m.left, m.right, m.node_id) for m in d.merges]
     [(0, 1, 3), (2, 3, 4)]
-    >>> legacy = agglomerative_clustering(points, engine="legacy")
-    >>> [(int(m.left), int(m.right)) for m in legacy.merges]
-    [(0, 1), (2, 3)]
     """
     if linkage not in _LINKAGES:
         raise ValueError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     if precomputed is not None:
         dist = np.array(precomputed, dtype=np.float64)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -95,9 +82,7 @@ def agglomerative_clustering(
         raise ValueError("cannot cluster zero observations")
     if n == 1:
         return Dendrogram(n_leaves=1, merges=[])
-    if engine == "nn-chain":
-        return _cluster_nn_chain(dist, linkage)
-    return _cluster_greedy(dist, linkage)
+    return _cluster_nn_chain(dist, linkage)
 
 
 def _cluster_nn_chain(dist: np.ndarray, linkage: str) -> Dendrogram:
@@ -182,65 +167,4 @@ def _cluster_nn_chain(dist: np.ndarray, linkage: str) -> Dendrogram:
         parent[rb] = ra
         node_at[ra] = n + t
         merges.append(Merge(left=left, right=right, height=height, node_id=n + t))
-    return Dendrogram(n_leaves=n, merges=merges)
-
-
-def _cluster_greedy(dist: np.ndarray, linkage: str) -> Dendrogram:
-    """Greedy global-minimum agglomeration (the legacy engine)."""
-    n = dist.shape[0]
-    inf = np.inf
-    work = dist.copy()
-    np.fill_diagonal(work, inf)
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=np.int64)
-    node_of = np.arange(n)  # dendrogram node id currently held by each slot
-    row_min = work.min(axis=1)
-    row_arg = work.argmin(axis=1)
-
-    merges: list[Merge] = []
-    next_node = n
-    for _step in range(n - 1):
-        masked = np.where(active, row_min, inf)
-        i = int(masked.argmin())
-        j = int(row_arg[i])
-        if not active[j] or work[i, j] != row_min[i]:
-            # Stale cache: recompute this row properly.
-            row = np.where(active, work[i], inf)
-            row[i] = inf
-            row_min[i] = row.min()
-            row_arg[i] = int(row.argmin())
-            j = int(row_arg[i])
-        height = float(work[i, j])
-
-        left, right = sorted((node_of[i], node_of[j]))
-        merges.append(Merge(left=left, right=right, height=height, node_id=next_node))
-
-        # Merge j into slot i via Lance–Williams; retire slot j.
-        new_row = _lance_williams(linkage, work[i], work[j], int(sizes[i]), int(sizes[j]))
-        work[i, :] = new_row
-        work[:, i] = new_row
-        work[i, i] = inf
-        active[j] = False
-        work[j, :] = inf
-        work[:, j] = inf
-        sizes[i] += sizes[j]
-        node_of[i] = next_node
-        next_node += 1
-
-        # Refresh cached minima: row i fully, others only if stale.
-        row = np.where(active, work[i], inf)
-        row[i] = inf
-        row_min[i] = row.min()
-        row_arg[i] = int(row.argmin())
-        for k in np.nonzero(active)[0]:
-            if k == i:
-                continue
-            if row_arg[k] == j or row_arg[k] == i:
-                krow = np.where(active, work[k], inf)
-                krow[k] = inf
-                row_min[k] = krow.min()
-                row_arg[k] = int(krow.argmin())
-            elif work[k, i] < row_min[k]:
-                row_min[k] = work[k, i]
-                row_arg[k] = i
     return Dendrogram(n_leaves=n, merges=merges)

@@ -18,7 +18,7 @@ seed are a single AND of the middle's adjacency row against a
 higher-rank window minus the first's blocked row. The work is therefore
 output-sensitive — pairs filtered by the must-together / 2-conflict
 rules are masked out wholesale instead of being visited and rejected one
-Python comparison at a time. :func:`_three_conflicts_reference` keeps
+Python comparison at a time. ``tests/oracles/three_conflicts.py`` keeps
 the original nested-loop formulation as the differential oracle (and the
 pre-kernel baseline for ``benchmarks/bench_mis_engine.py``).
 """
@@ -93,32 +93,4 @@ def _compute_three_conflicts(analysis: PairwiseAnalysis) -> set[Triple]:
                     triple = (sid_at[f_pos], sid_at[t_pos], sid_at[m_pos])
                 conflicts.add(triple)
     get_tracer().count("conflicts.three_conflicts", len(conflicts))
-    return conflicts
-
-
-def _three_conflicts_reference(analysis: PairwiseAnalysis) -> set[Triple]:
-    """Pre-kernel nested-loop enumeration, kept as the differential oracle."""
-    ranking = analysis.ranking
-    adjacency = analysis.must_neighbors()
-    conflicts: set[Triple] = set()
-    for middle, neighbors in adjacency.items():
-        if len(neighbors) < 2:
-            continue
-        ordered = sorted(neighbors, key=lambda sid: ranking.rank_of[sid])
-        for i, first in enumerate(ordered):
-            for third in ordered[i + 1 :]:
-                # middle must not be the lowest-ranked (largest) of the three
-                if ranking.rank_of[middle] < ranking.rank_of[first]:
-                    continue
-                if analysis.is_must_together(first, third):
-                    continue
-                if analysis.is_conflict(first, third):
-                    continue
-                triple = tuple(
-                    sorted(
-                        (first, middle, third),
-                        key=lambda sid: ranking.rank_of[sid],
-                    )
-                )
-                conflicts.add(triple)  # type: ignore[arg-type]
     return conflicts

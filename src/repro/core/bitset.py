@@ -1,12 +1,13 @@
 """Packed-bitset similarity kernel for batched set comparisons.
 
 The pairwise stages of CTCR (2-conflict classification, cover scoring)
-compare every input set against every other. Doing that through Python
-``set`` intersections costs a dictionary operation per shared item pair;
-this module instead packs each set into a row of a NumPy ``uint64`` bit
-matrix over a shared item universe and answers batched questions with
-bitwise AND + popcount, plus an output-sensitive sparse path for the
-(common) regime where most pairs do not intersect at all.
+and CCT's set embeddings compare every input set against every other.
+Doing that through Python ``set`` intersections costs a dictionary
+operation per shared item pair; this module instead packs each set into
+a row of a NumPy ``uint64`` bit matrix over a shared item universe and
+answers batched questions with bitwise AND + popcount, plus an
+output-sensitive sparse path for the (common) regime where most pairs
+do not intersect at all.
 
 Two complementary representations live on :class:`BitsetUniverse`:
 
@@ -15,18 +16,12 @@ Two complementary representations live on :class:`BitsetUniverse`:
   that actually share items (cost proportional to the number of shared
   item pairs, all in vectorized NumPy).
 * **bit matrix** — ``(n_sets, ceil(|U|/64))`` ``uint64`` rows, built
-  lazily on first dense use. It drives the full n x n
-  :meth:`pairwise_intersections` / :meth:`pairwise_jaccard` /
-  :meth:`pairwise_f1` score matrices and the row-vs-packed-category
+  lazily on first use. It drives the row-vs-packed-category
   intersections used by the item-assignment stage.
 
 Score conventions match :mod:`repro.core.similarity` bit for bit:
 ``jaccard(emptyset, emptyset) = 1``, ``recall(emptyset, C) = 1``,
 ``precision(q, emptyset) = 0``.
-
-Everything degrades gracefully: when NumPy is missing,
-:func:`available` returns False and callers fall back to their
-set-based paths (see :func:`should_use`).
 """
 
 from __future__ import annotations
@@ -34,25 +29,10 @@ from __future__ import annotations
 from itertools import chain, count
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - the container always has numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.core.variants import ScoreMode, SimilarityKind, Variant
+from repro.core.variants import SimilarityKind
 from repro.observability import get_tracer
-
-# Same cutoff epsilon as repro.core.similarity.variant_score_from_sizes.
-_SCORE_EPS = 1e-12
-
-# Auto-mode gates: below these the packing overhead outweighs the win.
-_AUTO_MIN_SETS = 48
-_AUTO_MIN_ITEMS = 256
-
-
-def available() -> bool:
-    """True when the NumPy-backed kernel can be used at all."""
-    return np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +67,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def should_use(
-    n_sets: int, n_items: int, flag: bool | None = None
-) -> bool:
-    """Resolve an opt-in ``use_bitset`` flag against the environment.
-
-    ``True`` forces the kernel (still requires NumPy), ``False`` forces
-    the set-based path, and ``None`` auto-selects: the kernel is used
-    when the instance is large enough for packing to pay off.
-    """
-    if flag is False or not available():
-        return False
-    if flag is True:
-        return True
-    return n_sets >= _AUTO_MIN_SETS and n_items >= _AUTO_MIN_ITEMS
 
 
 def raw_similarity_from_size_arrays(
@@ -145,26 +109,12 @@ def raw_similarity_from_size_arrays(
     return (prec + rec) / 2.0
 
 
-def raw_similarity_matrix(
-    kind: SimilarityKind, sizes: "np.ndarray", inter: "np.ndarray"
-) -> "np.ndarray":
-    """Dense ``raw_similarity_from_sizes`` matrix from a size vector.
-
-    ``sizes`` is the per-set cardinality vector and ``inter`` the dense
-    ``n x n`` intersection-size matrix (``inter[i, i] = sizes[i]``).
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    return raw_similarity_from_size_arrays(
-        kind, sizes[:, None], sizes[None, :], inter
-    )
-
-
-if np is not None and hasattr(np, "bitwise_count"):
+if hasattr(np, "bitwise_count"):
 
     def _popcount(a: "np.ndarray") -> "np.ndarray":
         return np.bitwise_count(a)
 
-elif np is not None:  # pragma: no cover - numpy < 2.0 fallback
+else:  # pragma: no cover - numpy < 2.0 fallback
     _BYTE_COUNTS = None
 
     def _popcount(a: "np.ndarray") -> "np.ndarray":
@@ -175,35 +125,6 @@ elif np is not None:  # pragma: no cover - numpy < 2.0 fallback
             )
         by = a.view(np.uint8).reshape(a.shape + (8,))
         return _BYTE_COUNTS[by].sum(-1)
-
-
-# ---------------------------------------------------------------------------
-# Process-pool state for blocked dense pairwise computation. The matrix is
-# shipped once per worker through the pool initializer (utils.parallel),
-# not re-pickled with every chunk of row blocks.
-# ---------------------------------------------------------------------------
-
-_SHARED: dict = {}
-
-
-def _install_shared_matrix(matrix) -> None:
-    _SHARED["matrix"] = matrix
-
-
-def _block_intersections(ranges: list[tuple[int, int]]) -> list:
-    matrix = _SHARED["matrix"]
-    tracer = get_tracer()
-    out = []
-    for lo, hi in ranges:
-        out.append(
-            _popcount(matrix[lo:hi, None, :] & matrix[None, :, :]).sum(
-                -1, dtype=np.int64
-            )
-        )
-        tracer.count(
-            "bitset.words_touched", (hi - lo) * matrix.shape[0] * matrix.shape[1]
-        )
-    return out
 
 
 class BitsetUniverse:
@@ -220,8 +141,6 @@ class BitsetUniverse:
         sets: Sequence[Iterable],
         universe: Iterable | None = None,
     ) -> None:
-        if np is None:  # pragma: no cover - guarded by available()
-            raise RuntimeError("BitsetUniverse requires numpy")
         families = [
             s if isinstance(s, frozenset) else frozenset(s) for s in sets
         ]
@@ -277,7 +196,6 @@ class BitsetUniverse:
             np.arange(self.n_sets, dtype=np.int64), self.sizes
         )
         self._matrix = None
-        self._pairwise = None
 
     @property
     def index(self) -> dict:
@@ -349,39 +267,6 @@ class BitsetUniverse:
         get_tracer().count("bitset.words_touched", idx.size * self.n_words)
         return _popcount(self.matrix[idx] & packed).sum(-1, dtype=np.int64)
 
-    def pairwise_intersections(self, n_jobs: int = 1) -> "np.ndarray":
-        """The dense ``n x n`` matrix of pairwise intersection sizes.
-
-        Computed in row blocks (AND + popcount + reduce) so the broadcast
-        intermediate stays cache-sized; with ``n_jobs > 1`` the blocks fan
-        out over a process pool, the matrix shipped once per worker via
-        the pool initializer rather than re-pickled per chunk.
-        """
-        from repro.utils.parallel import parallel_map
-
-        if self._pairwise is not None:
-            get_tracer().count("bitset.pairwise_cache_hits")
-            return self._pairwise
-        n = self.n_sets
-        out = np.zeros((n, n), dtype=np.int64)
-        if n == 0:
-            self._pairwise = out
-            return out
-        matrix = self.matrix
-        block = max(1, (1 << 22) // max(1, n * self.n_words))
-        ranges = [(lo, min(n, lo + block)) for lo in range(0, n, block)]
-        blocks = parallel_map(
-            _block_intersections,
-            ranges,
-            n_jobs=n_jobs,
-            initializer=_install_shared_matrix,
-            initargs=(matrix,),
-        )
-        for (lo, hi), part in zip(ranges, blocks):
-            out[lo:hi] = part
-        self._pairwise = out
-        return out
-
     def intersecting_pairs(
         self, item_mask: "np.ndarray | None" = None
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -433,81 +318,3 @@ class BitsetUniverse:
             keys, counts = np.unique(all_keys, return_counts=True)
         get_tracer().count("bitset.pairs_enumerated", int(keys.size))
         return keys // n, keys % n, counts.astype(np.int64)
-
-    # -- batched score matrices -------------------------------------------
-
-    def pairwise_jaccard(self, n_jobs: int = 1) -> "np.ndarray":
-        """Dense Jaccard matrix; two empty sets score 1."""
-        inter = self.pairwise_intersections(n_jobs=n_jobs)
-        union = self.sizes[:, None] + self.sizes[None, :] - inter
-        return np.where(
-            union == 0, 1.0, inter / np.where(union == 0, 1, union)
-        )
-
-    def pairwise_f1(self, n_jobs: int = 1) -> "np.ndarray":
-        """Dense F1 matrix; two empty sets score 1."""
-        inter = self.pairwise_intersections(n_jobs=n_jobs)
-        denom = self.sizes[:, None] + self.sizes[None, :]
-        return np.where(
-            denom == 0, 1.0, 2.0 * inter / np.where(denom == 0, 1, denom)
-        )
-
-    def pairwise_precision(self, n_jobs: int = 1) -> "np.ndarray":
-        """``P[q, c] = |q & c| / |c|``; an empty category scores 0."""
-        inter = self.pairwise_intersections(n_jobs=n_jobs)
-        c_size = self.sizes[None, :]
-        return np.where(
-            c_size == 0, 0.0, inter / np.where(c_size == 0, 1, c_size)
-        )
-
-    def pairwise_recall(self, n_jobs: int = 1) -> "np.ndarray":
-        """``R[q, c] = |q & c| / |q|``; an empty input set scores 1."""
-        inter = self.pairwise_intersections(n_jobs=n_jobs)
-        q_size = self.sizes[:, None]
-        return np.where(
-            q_size == 0, 1.0, inter / np.where(q_size == 0, 1, q_size)
-        )
-
-    def pairwise_variant_scores(
-        self,
-        variant: Variant,
-        delta: "float | np.ndarray | None" = None,
-        n_jobs: int = 1,
-    ) -> "np.ndarray":
-        """Dense matrix of ``variant_score_from_sizes`` over all pairs.
-
-        Rows play the input set ``q``, columns the category ``C``.
-        ``delta`` is the effective threshold: a scalar, or one value per
-        row (the per-set-thresholds extension); defaults to the variant's.
-        """
-        inter = self.pairwise_intersections(n_jobs=n_jobs)
-        q_size = self.sizes[:, None]
-        c_size = self.sizes[None, :]
-        if delta is None:
-            delta = variant.delta
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.ndim == 1:
-            delta = delta[:, None]
-
-        if variant.kind is SimilarityKind.PERFECT_RECALL:
-            prec = np.where(
-                c_size == 0, 0.0, inter / np.where(c_size == 0, 1, c_size)
-            )
-            score = np.where(
-                inter < q_size,
-                0.0,
-                np.where(prec >= delta - _SCORE_EPS, 1.0, 0.0),
-            )
-            # An empty q is trivially recalled; only an empty C has
-            # nonzero precision against it.
-            empty_q = np.where(c_size == 0, 1.0, 0.0)
-            return np.where(q_size == 0, empty_q, score)
-
-        if variant.kind is SimilarityKind.JACCARD:
-            sim = self.pairwise_jaccard()
-        else:
-            sim = self.pairwise_f1()
-        score = np.where(sim < delta - _SCORE_EPS, 0.0, sim)
-        if variant.mode is ScoreMode.THRESHOLD:
-            score = np.where(score > 0.0, 1.0, score)
-        return score

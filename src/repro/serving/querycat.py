@@ -57,15 +57,11 @@ def overlap_sizes(
 
     Candidate token sets are packed as rows of a
     :class:`~repro.core.bitset.BitsetUniverse` over the combined token
-    vocabulary and answered with one AND+popcount pass. Falls back to
-    plain set intersections when NumPy is unavailable — the counts are
-    integers, so both paths are trivially identical.
+    vocabulary and answered with one AND+popcount pass.
     """
     candidates = list(candidate_tokens)
     if not candidates:
         return []
-    if not bitset.available():
-        return [len(query_tokens & ts) for ts in candidates]
     universe = set(query_tokens)
     for ts in candidates:
         universe |= ts

@@ -130,12 +130,16 @@ class TestConfigSwitches:
     def test_parallel_jobs_give_same_tree_score(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         s1 = score_tree(
-            CTCR(CTCRConfig(n_jobs=1)).build(figure2_instance, variant),
+            CTCR(CTCRConfig(mis=MISConfig(n_jobs=1))).build(
+                figure2_instance, variant
+            ),
             figure2_instance,
             variant,
         ).normalized
         s2 = score_tree(
-            CTCR(CTCRConfig(n_jobs=2)).build(figure2_instance, variant),
+            CTCR(CTCRConfig(mis=MISConfig(n_jobs=2))).build(
+                figure2_instance, variant
+            ),
             figure2_instance,
             variant,
         ).normalized

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import CCT, CTCR, CTCRConfig
 from repro.core import Variant, make_instance, score_tree
+from repro.mis import MISConfig
 
 instances = st.lists(
     st.tuples(
@@ -48,12 +49,12 @@ class TestDeterminism:
     @given(instances, variants)
     def test_parallel_conflicts_same_score(self, instance, variant):
         s1 = score_tree(
-            CTCR(CTCRConfig(n_jobs=1)).build(instance, variant),
+            CTCR(CTCRConfig(mis=MISConfig(n_jobs=1))).build(instance, variant),
             instance,
             variant,
         ).total
         s2 = score_tree(
-            CTCR(CTCRConfig(n_jobs=2)).build(instance, variant),
+            CTCR(CTCRConfig(mis=MISConfig(n_jobs=2))).build(instance, variant),
             instance,
             variant,
         ).total

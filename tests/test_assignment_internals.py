@@ -1,8 +1,11 @@
 """White-box tests for Algorithm 2's internals."""
 
+import pytest
+
 from repro.algorithms.assignment import (
     _available_for,
     _breaks_covered_ancestors,
+    _cover_intersections,
     _cutoff_marginal_gain,
     _designated_by_cid,
     _match_branch,
@@ -11,6 +14,8 @@ from repro.algorithms.assignment import (
 )
 from repro.algorithms.base import BuildContext
 from repro.core import CategoryTree, Variant, make_instance
+from repro.core.bitset import BitsetUniverse
+from repro.utils import make_rng
 
 
 def chain_context():
@@ -144,3 +149,48 @@ class TestEndToEndAssignment:
         # q0 (weight 5, gap 1 after 'b') outranks q1; 'a' goes to C(q0).
         assert "a" in ctx.designated[0].items
         tree.validate(universe=inst.universe)
+
+
+def random_tree_context(seed, n_sets=12, n_items=40, n_cats=10):
+    """A random tree whose categories hold random items, with every
+    input set designated to a random category."""
+    rng = make_rng(seed)
+    universe = [f"i{k}" for k in range(n_items)]
+    inst = make_instance(
+        [rng.sample(universe, rng.randint(1, 12)) for _ in range(n_sets)]
+    )
+    tree = CategoryTree()
+    cats = []
+    for k in range(n_cats):
+        parent = rng.choice(cats) if cats and rng.random() < 0.7 else None
+        cats.append(tree.add_category((), parent=parent, label=f"c{k}"))
+    # Categories only ever hold items of the instance's universe.
+    for item in sorted(inst.universe):
+        if rng.random() < 0.6:
+            tree.assign_item(rng.choice(cats), item)
+    ctx = BuildContext(
+        tree=tree,
+        instance=inst,
+        variant=Variant.threshold_jaccard(0.5),
+        bitset=BitsetUniverse.from_instance(inst),
+    )
+    for q in inst.sets:
+        ctx.designated[q.sid] = rng.choice(cats)
+    return ctx, inst
+
+
+class TestCoverIntersections:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_matches_per_set_intersections(self, seed):
+        ctx, inst = random_tree_context(seed)
+        pending = [q for q in inst.sets if q.sid % 3 != 1]
+        expected = {
+            q.sid: len(ctx.designated[q.sid].items & q.items) for q in pending
+        }
+        assert _cover_intersections(ctx, pending) == expected
+
+    def test_no_kernel_or_nothing_pending(self):
+        ctx, inst = random_tree_context(7)
+        assert _cover_intersections(ctx, []) is None
+        ctx.bitset = None
+        assert _cover_intersections(ctx, list(inst.sets)) is None

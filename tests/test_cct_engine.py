@@ -2,9 +2,10 @@
 
 The kernel path mirrors the reference loop's scalar closed forms
 IEEE-op for IEEE-op, so embeddings — and therefore whole CCT trees —
-must be *bit-identical* across every engine combination. The acceptance
-grid pins that: {legacy, bitset} x {serial, pooled} x {cache on/off}
-all return byte-identical trees on every similarity variant.
+must be *bit-identical* to builds on the oracle's embeddings
+(``tests/oracles``). The acceptance grid pins that: {oracle, kernel}
+x {cache on/off} all return byte-identical trees on every similarity
+variant.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.algorithms.cct as cct_module
 from repro.algorithms import CCT, CCTConfig, clear_embedding_cache, set_embeddings
-from repro.algorithms.cct import _set_embeddings_bitset, _set_embeddings_reference
 from repro.algorithms.cct_cache import EmbeddingCache, get_embedding_cache
 from repro.core import Variant, score_tree
 from repro.io import tree_to_dict
 from repro.observability import Tracer, use_tracer
 
+from tests.oracles import (
+    _set_embeddings_reference,
+    legacy_clustering,
+    oracle_set_embeddings,
+)
 from tests.test_ctcr_equivalence import EQUIV_VARIANTS, random_instance
 
 
@@ -31,39 +37,23 @@ class TestEmbeddingEquivalence:
         for seed in range(5):
             instance = random_instance(seed)
             ref = _set_embeddings_reference(instance, variant)
-            fast = _set_embeddings_bitset(instance, variant)
+            fast = set_embeddings(instance, variant)
             assert np.array_equal(ref, fast)
 
     def test_paper_examples(self, figure2_instance, example32_instance, all_variants):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
                 ref = _set_embeddings_reference(instance, variant)
-                fast = _set_embeddings_bitset(instance, variant)
+                fast = set_embeddings(instance, variant)
                 assert np.array_equal(ref, fast)
-
-    def test_pooled_matches_serial(self):
-        variant = Variant.threshold_jaccard(0.5)
-        instance = random_instance(3, n_sets=40)
-        serial = _set_embeddings_bitset(instance, variant, n_jobs=1)
-        pooled = _set_embeddings_bitset(instance, variant, n_jobs=2)
-        assert np.array_equal(serial, pooled)
 
     def test_empty_instance(self):
         from repro.core.input_sets import OCTInstance
 
         instance = OCTInstance([], universe=[])
         ref = _set_embeddings_reference(instance, Variant.exact())
-        fast = _set_embeddings_bitset(instance, Variant.exact())
+        fast = set_embeddings(instance, Variant.exact())
         assert ref.shape == fast.shape == (0, 0)
-
-    def test_public_entrypoint_dispatches_by_flag(self):
-        variant = Variant.cutoff_f1(0.5)
-        instance = random_instance(7)
-        on = set_embeddings(instance, variant, use_bitset=True)
-        off = set_embeddings(instance, variant, use_bitset=False)
-        auto = set_embeddings(instance, variant)
-        assert np.array_equal(on, off)
-        assert np.array_equal(on, auto)
 
 
 class TestEmbeddingCache:
@@ -78,8 +68,8 @@ class TestEmbeddingCache:
     def test_replay_is_identical(self):
         instance = random_instance(5)
         variant = Variant.threshold_jaccard(0.5)
-        cold = _set_embeddings_bitset(instance, variant, use_cache=True)
-        warm = _set_embeddings_bitset(instance, variant, use_cache=True)
+        cold = set_embeddings(instance, variant, use_cache=True)
+        warm = set_embeddings(instance, variant, use_cache=True)
         cache = get_embedding_cache()
         assert cache.misses == 1 and cache.hits == 1
         assert np.array_equal(cold, warm)
@@ -95,8 +85,8 @@ class TestEmbeddingCache:
             Variant.perfect_recall(0.7),
         ]
         for variant in variants:
-            cached = _set_embeddings_bitset(instance, variant, use_cache=True)
-            fresh = _set_embeddings_bitset(instance, variant, use_cache=False)
+            cached = set_embeddings(instance, variant, use_cache=True)
+            fresh = set_embeddings(instance, variant, use_cache=False)
             assert np.array_equal(cached, fresh)
         cache = get_embedding_cache()
         assert cache.misses == 1
@@ -104,8 +94,8 @@ class TestEmbeddingCache:
 
     def test_different_instances_do_not_collide(self):
         variant = Variant.exact()
-        a = _set_embeddings_bitset(random_instance(1), variant, use_cache=True)
-        b = _set_embeddings_bitset(random_instance(2), variant, use_cache=True)
+        a = set_embeddings(random_instance(1), variant, use_cache=True)
+        b = set_embeddings(random_instance(2), variant, use_cache=True)
         cache = get_embedding_cache()
         assert cache.misses == 2 and cache.hits == 0
         assert a.shape == b.shape and not np.array_equal(a, b)
@@ -124,7 +114,7 @@ class TestEmbeddingCache:
 
     def test_cached_arrays_are_read_only(self):
         instance = random_instance(4)
-        _set_embeddings_bitset(instance, Variant.exact(), use_cache=True)
+        set_embeddings(instance, Variant.exact(), use_cache=True)
         cache = get_embedding_cache()
         entry = cache.get(cache.key(instance))
         assert entry is not None
@@ -136,14 +126,18 @@ class TestEmbeddingCache:
         instance = random_instance(6)
         variant = Variant.threshold_jaccard(0.5)
         with use_tracer(Tracer()) as tracer:
-            _set_embeddings_bitset(instance, variant, use_cache=True)
-            _set_embeddings_bitset(instance, variant, use_cache=True)
+            set_embeddings(instance, variant, use_cache=True)
+            set_embeddings(instance, variant, use_cache=True)
         assert tracer.counters.get("cct.cache_misses") == 1
         assert tracer.counters.get("cct.cache_hits") == 1
 
 
-def cct_fingerprint(instance, variant, **config):
-    tree = CCT(CCTConfig(**config)).build(instance, variant)
+def cct_fingerprint(instance, variant, oracle=False, **config):
+    """CCT tree and scores; ``oracle`` builds on the oracle's embeddings."""
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr(cct_module, "set_embeddings", oracle_set_embeddings)
+        tree = CCT(CCTConfig(**config)).build(instance, variant)
     report = score_tree(tree, instance, variant)
     return tree_to_dict(tree), report.normalized, report.total, tree.to_text()
 
@@ -160,24 +154,12 @@ class TestCCTEngineGrid:
     def test_engine_grid(self, variant):
         clear_embedding_cache()
         instance = random_instance(21, n_sets=25)
-        base = cct_fingerprint(instance, variant, use_bitset=False)
-        for use_bitset in (False, True):
-            for n_jobs in (1, 2):
-                for use_cache in (False, True):
-                    got = cct_fingerprint(
-                        instance,
-                        variant,
-                        use_bitset=use_bitset,
-                        n_jobs=n_jobs,
-                        use_cache=use_cache,
-                    )
-                    assert got == base, (
-                        f"bitset={use_bitset} jobs={n_jobs} cache={use_cache}"
-                    )
+        base = cct_fingerprint(instance, variant, oracle=True)
+        for use_cache in (False, True):
+            got = cct_fingerprint(instance, variant, use_cache=use_cache)
+            assert got == base, f"cache={use_cache}"
         # Second cached pass replays from the now-warm cache.
-        warm = cct_fingerprint(
-            instance, variant, use_bitset=True, use_cache=True
-        )
+        warm = cct_fingerprint(instance, variant, use_cache=True)
         assert warm == base
         clear_embedding_cache()
 
@@ -187,13 +169,10 @@ class TestCCTEngineGrid:
         clear_embedding_cache()
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                base = cct_fingerprint(instance, variant, use_bitset=False)
+                base = cct_fingerprint(instance, variant, oracle=True)
                 for use_cache in (False, True):
                     got = cct_fingerprint(
-                        instance,
-                        variant,
-                        use_bitset=True,
-                        use_cache=use_cache,
+                        instance, variant, use_cache=use_cache
                     )
                     assert got == base
         clear_embedding_cache()
@@ -205,42 +184,29 @@ class TestCCTEngineGrid:
         clear_embedding_cache()
         variant = Variant.threshold_jaccard(0.8)
         instance, _report = preprocess(tiny_dataset, variant)
-        base = cct_fingerprint(instance, variant, use_bitset=False)
-        for n_jobs in (1, 4):
-            for use_cache in (False, True):
-                got = cct_fingerprint(
-                    instance,
-                    variant,
-                    use_bitset=True,
-                    n_jobs=n_jobs,
-                    use_cache=use_cache,
-                )
-                assert got == base, f"jobs={n_jobs} cache={use_cache}"
+        base = cct_fingerprint(instance, variant, oracle=True)
+        for use_cache in (False, True):
+            got = cct_fingerprint(instance, variant, use_cache=use_cache)
+            assert got == base, f"cache={use_cache}"
         clear_embedding_cache()
 
 
 class TestClusterEngineContract:
-    """NN-chain vs legacy clustering inside the full CCT build.
+    """NN-chain vs the legacy clustering oracle inside the full CCT build.
 
     Merge orders differ on ties, so trees need not be byte-identical —
-    but both engines must produce valid trees with identical scores on
-    tie-free inputs, and the config must reject unknown engines.
+    but both engines must produce valid trees.
     """
 
     @pytest.mark.parametrize("variant", EQUIV_VARIANTS, ids=lambda v: str(v))
-    def test_both_engines_build_valid_trees(self, variant):
+    def test_both_engines_build_valid_trees(self, variant, monkeypatch):
         instance = random_instance(13, n_sets=20)
-        for engine in ("nn-chain", "legacy"):
-            tree = CCT(CCTConfig(cluster_engine=engine)).build(
-                instance, variant
-            )
+        trees = [CCT().build(instance, variant)]
+        monkeypatch.setattr(
+            cct_module, "agglomerative_clustering", legacy_clustering
+        )
+        trees.append(CCT().build(instance, variant))
+        for tree in trees:
             tree.validate(
                 universe=instance.universe, bound=instance.bound
-            )
-
-    def test_unknown_cluster_engine_rejected(self):
-        instance = random_instance(2, n_sets=5)
-        with pytest.raises(ValueError, match="engine"):
-            CCT(CCTConfig(cluster_engine="heap")).build(
-                instance, Variant.exact()
             )

@@ -16,6 +16,7 @@ from repro.clustering import (
     pairwise_cosine,
     pairwise_euclidean,
 )
+from tests.oracles import legacy_clustering
 
 
 class TestDistances:
@@ -109,10 +110,6 @@ class TestAgglomerative:
         with pytest.raises(ValueError):
             agglomerative_clustering(np.zeros((2, 2)), linkage="ward")
 
-    def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            agglomerative_clustering(np.zeros((2, 2)), engine="heap")
-
     def test_empty_input(self):
         with pytest.raises(ValueError):
             agglomerative_clustering(np.zeros((0, 2)))
@@ -142,8 +139,8 @@ class TestAgglomerative:
         )
     )
     def test_structural_invariants(self, x):
-        for engine in ("nn-chain", "legacy"):
-            d = agglomerative_clustering(x, engine=engine)
+        for cluster in (agglomerative_clustering, legacy_clustering):
+            d = cluster(x)
             n = x.shape[0]
             assert len(d.merges) == n - 1
             # Every node id is used exactly once as a merge operand
@@ -171,7 +168,7 @@ class TestNNChainEngine:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(30, 4))
         chain = agglomerative_clustering(x, linkage=linkage)
-        greedy = agglomerative_clustering(x, linkage=linkage, engine="legacy")
+        greedy = legacy_clustering(x, linkage=linkage)
         assert _leaf_sets(chain) == _leaf_sets(greedy)
         assert np.allclose(
             [m.height for m in chain.merges],

@@ -55,14 +55,6 @@ class TestPerfectRecallConflicts:
 
 
 class TestGeneralBehaviour:
-    def test_parallel_matches_serial(self, figure2_instance):
-        for variant in (Variant.exact(), Variant.threshold_jaccard(0.6)):
-            serial = compute_pairwise(figure2_instance, variant, n_jobs=1)
-            parallel = compute_pairwise(figure2_instance, variant, n_jobs=2)
-            assert serial.conflicts == parallel.conflicts
-            assert serial.must_together == parallel.must_together
-            assert serial.can_separately == parallel.can_separately
-
     def test_pair_keys_are_rank_ordered(self, figure2_instance):
         ranking = rank_sets(figure2_instance)
         analysis = compute_pairwise(figure2_instance, Variant.exact(), ranking)

@@ -1,14 +1,17 @@
-"""End-to-end equivalence of CTCR's set-based and bitset engines.
+"""End-to-end equivalence of CTCR's bitset kernel and the set-based oracle.
 
-The bitset kernel mirrors the scalar closed forms term for term, so the
-two engines must agree exactly — same pair classifications, same trees,
-same scores — on every instance, variant, and job count. These tests pin
-that contract.
+The bitset kernel mirrors the scalar closed forms term for term, so
+``compute_pairwise`` must agree exactly with the set-based oracle in
+``tests/oracles`` — same pair classifications — and a CTCR build fed the
+oracle's analysis through :class:`BuildReuse` must return the same tree
+and scores as a from-scratch build, on every instance and variant. These
+tests pin that contract.
 
 The same differential harness pins the observability layer: tracing is
 measurement only, so builds with tracing enabled must be bit-identical —
 trees, scores, diagnostics — to builds with the null tracer, for both
-algorithms, both engines, and every job count (TestTracingEquivalence).
+algorithms, both pairwise sources, and serial or pooled MIS solves
+(TestTracingEquivalence).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.algorithms import CCT, CTCR, CTCRConfig
+from repro.algorithms.ctcr import BuildReuse
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.mis import MISConfig, clear_mis_cache
 from repro.core import OCTInstance, Variant, make_instance, score_tree
@@ -25,6 +29,7 @@ from repro.core.input_sets import InputSet
 from repro.io import tree_to_dict
 from repro.observability import Tracer, use_tracer
 from repro.utils import make_rng
+from tests.oracles import oracle_pairwise
 
 
 def random_instance(seed, n_sets=30, n_items=40) -> OCTInstance:
@@ -75,8 +80,8 @@ class TestPairwiseEquivalence:
     def test_random_instances(self, variant):
         for seed in range(5):
             instance = random_instance(seed)
-            old = compute_pairwise(instance, variant, use_bitset=False)
-            new = compute_pairwise(instance, variant, use_bitset=True)
+            old = oracle_pairwise(instance, variant)
+            new = compute_pairwise(instance, variant)
             assert_same_analysis(old, new)
 
     def test_uniform_bound_fast_path(self):
@@ -91,21 +96,27 @@ class TestPairwiseEquivalence:
         instance = OCTInstance(sets, universe=universe)
         variant = Variant.threshold_jaccard(0.6)
         assert_same_analysis(
-            compute_pairwise(instance, variant, use_bitset=False),
-            compute_pairwise(instance, variant, use_bitset=True),
+            oracle_pairwise(instance, variant),
+            compute_pairwise(instance, variant),
         )
 
     def test_paper_examples(self, figure2_instance, example32_instance, all_variants):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
                 assert_same_analysis(
-                    compute_pairwise(instance, variant, use_bitset=False),
-                    compute_pairwise(instance, variant, use_bitset=True),
+                    oracle_pairwise(instance, variant),
+                    compute_pairwise(instance, variant),
                 )
 
 
-def build_fingerprint(instance, variant, **config):
-    tree = CTCR(CTCRConfig(**config)).build(instance, variant)
+def oracle_reuse(instance, variant) -> BuildReuse:
+    """Inject the set-based oracle's pairwise analysis into a CTCR build."""
+    return BuildReuse(analysis=oracle_pairwise(instance, variant))
+
+
+def build_fingerprint(instance, variant, oracle=False, **config):
+    reuse = oracle_reuse(instance, variant) if oracle else None
+    tree = CTCR(CTCRConfig(**config)).build(instance, variant, reuse=reuse)
     report = score_tree(tree, instance, variant)
     return tree_to_dict(tree), report.normalized, report.total, tree.to_text()
 
@@ -116,8 +127,8 @@ class TestTreeEquivalence:
     )
     def test_random_instance_trees_identical(self, variant):
         instance = random_instance(17, n_sets=25)
-        off = build_fingerprint(instance, variant, use_bitset=False)
-        on = build_fingerprint(instance, variant, use_bitset=True)
+        off = build_fingerprint(instance, variant, oracle=True)
+        on = build_fingerprint(instance, variant)
         assert off == on
 
     def test_paper_examples_trees_identical(
@@ -125,8 +136,8 @@ class TestTreeEquivalence:
     ):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                off = build_fingerprint(instance, variant, use_bitset=False)
-                on = build_fingerprint(instance, variant, use_bitset=True)
+                off = build_fingerprint(instance, variant, oracle=True)
+                on = build_fingerprint(instance, variant)
                 assert off == on
 
     @pytest.mark.slow
@@ -138,23 +149,22 @@ class TestTreeEquivalence:
             Variant.perfect_recall(0.6),
         ):
             instance, _report = preprocess(tiny_dataset, variant)
-            off = build_fingerprint(instance, variant, use_bitset=False)
-            on = build_fingerprint(instance, variant, use_bitset=True)
+            off = build_fingerprint(instance, variant, oracle=True)
+            on = build_fingerprint(instance, variant)
             assert off == on
 
     @pytest.mark.slow
     def test_n_jobs_parity(self, tiny_dataset):
-        """Trees are identical for n_jobs=1 vs 4, with either engine."""
+        """Trees are identical for MIS n_jobs=1 vs 4, from either
+        pairwise source."""
         from repro.pipeline import preprocess
 
         variant = Variant.threshold_jaccard(0.8)
         instance, _report = preprocess(tiny_dataset, variant)
-        baseline = build_fingerprint(
-            instance, variant, use_bitset=False, n_jobs=1
-        )
-        for use_bitset in (False, True):
+        baseline = build_fingerprint(instance, variant, oracle=True)
+        for oracle in (False, True):
             fanned = build_fingerprint(
-                instance, variant, use_bitset=use_bitset, n_jobs=4
+                instance, variant, oracle=oracle, mis=MISConfig(n_jobs=4)
             )
             assert fanned == baseline
 
@@ -163,7 +173,7 @@ class TestMISEngineEquivalence:
     """The MIS engine's knobs must never change the tree.
 
     Acceptance grid for the kernelized engine: every similarity variant
-    × {bitset, baseline} × {serial, pooled components} × cache on/off
+    × {kernel, oracle pairwise} × {serial, pooled components} × cache on/off
     returns an identical tree and score. The cache grid runs first with
     a cold cache and again with a warm one, so replayed component
     solutions are exercised, not just stored.
@@ -175,21 +185,19 @@ class TestMISEngineEquivalence:
     def test_cache_grid(self, variant):
         clear_mis_cache()
         instance = random_instance(37, n_sets=25)
-        base = build_fingerprint(instance, variant, use_bitset=True)
-        for use_bitset in (False, True):
+        base = build_fingerprint(instance, variant)
+        for oracle in (False, True):
             for use_cache in (False, True):
                 got = build_fingerprint(
                     instance,
                     variant,
-                    use_bitset=use_bitset,
+                    oracle=oracle,
                     mis=MISConfig(use_cache=use_cache),
                 )
-                assert got == base, (
-                    f"bitset={use_bitset} cache={use_cache}"
-                )
+                assert got == base, f"oracle={oracle} cache={use_cache}"
         # Second pass hits the now-warm cache.
         warm = build_fingerprint(
-            instance, variant, use_bitset=True, mis=MISConfig(use_cache=True)
+            instance, variant, mis=MISConfig(use_cache=True)
         )
         assert warm == base
         clear_mis_cache()
@@ -215,10 +223,11 @@ class TestMISEngineEquivalence:
         clear_mis_cache()
 
 
-def ctcr_fingerprint_with_diag(instance, variant, **config):
+def ctcr_fingerprint_with_diag(instance, variant, oracle=False, **config):
     """(tree, scores, diagnostics) — everything tracing must not change."""
     builder = CTCR(CTCRConfig(**config))
-    tree = builder.build(instance, variant)
+    reuse = oracle_reuse(instance, variant) if oracle else None
+    tree = builder.build(instance, variant, reuse=reuse)
     report = score_tree(tree, instance, variant)
     return (
         tree_to_dict(tree),
@@ -235,20 +244,20 @@ class TestTracingEquivalence:
     @pytest.mark.parametrize(
         "variant", EQUIV_VARIANTS, ids=lambda v: str(v)
     )
-    @pytest.mark.parametrize(
-        "use_bitset", [False, True], ids=["sets", "bitset"]
-    )
+    @pytest.mark.parametrize("oracle", [True, False], ids=["sets", "bitset"])
     @pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "pool"])
-    def test_ctcr_identical_under_tracing(self, variant, use_bitset, n_jobs):
+    def test_ctcr_identical_under_tracing(self, variant, oracle, n_jobs):
         instance = random_instance(23, n_sets=25)
-        config = dict(use_bitset=use_bitset, n_jobs=n_jobs)
+        config = dict(oracle=oracle, mis=MISConfig(n_jobs=n_jobs))
         off = ctcr_fingerprint_with_diag(instance, variant, **config)
         with use_tracer(Tracer()) as tracer:
             on = ctcr_fingerprint_with_diag(instance, variant, **config)
         assert on == off
-        # The traced run actually collected something.
+        # The traced run actually collected something. An injected
+        # analysis skips the counted pairwise stage, and the remaining
+        # stages count only when there are conflicts to resolve.
         assert any(s.name == "ctcr.build" for s in tracer.spans.values())
-        assert tracer.counters
+        assert tracer.counters or oracle
 
     @pytest.mark.parametrize(
         "variant", EQUIV_VARIANTS, ids=lambda v: str(v)
@@ -272,23 +281,21 @@ class TestTracingEquivalence:
     ):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                for use_bitset in (False, True):
+                for oracle in (False, True):
                     off = ctcr_fingerprint_with_diag(
-                        instance, variant, use_bitset=use_bitset
+                        instance, variant, oracle=oracle
                     )
                     with use_tracer(Tracer()):
                         on = ctcr_fingerprint_with_diag(
-                            instance, variant, use_bitset=use_bitset
+                            instance, variant, oracle=oracle
                         )
                     assert on == off
 
     def test_pairwise_analysis_identical_under_tracing(self):
         variant = Variant.threshold_jaccard(0.5)
-        for use_bitset in (False, True):
+        for pairwise in (oracle_pairwise, compute_pairwise):
             instance = random_instance(31)
-            off = compute_pairwise(instance, variant, use_bitset=use_bitset)
+            off = pairwise(instance, variant)
             with use_tracer(Tracer()):
-                on = compute_pairwise(
-                    instance, variant, use_bitset=use_bitset
-                )
+                on = pairwise(instance, variant)
             assert_same_analysis(off, on)

@@ -76,6 +76,14 @@ class TestCliReference:
             f"cli.py: {sorted(stale)}"
         )
 
+    def test_no_removed_builder_switch_documented(self):
+        # The builders have one engine per stage; the flags are covered
+        # by the registration diff above, the library spellings here.
+        text = CLI_DOC.read_text()
+        for gone in ("use_bitset", "cluster_engine", "CTCRConfig(n_jobs",
+                     "CCTConfig(n_jobs"):
+            assert gone not in text, gone
+
     def test_every_subcommand_has_a_heading(self):
         headings = [
             line for line in CLI_DOC.read_text().splitlines()

@@ -26,10 +26,7 @@ from repro.conflicts.hypergraph import (
     build_conflict_hypergraph,
 )
 from repro.conflicts.ranking import rank_sets
-from repro.conflicts.three_conflicts import (
-    _three_conflicts_reference,
-    compute_three_conflicts,
-)
+from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.mis.cache import MISComponentCache, clear_mis_cache, get_mis_cache
@@ -46,6 +43,7 @@ from repro.mis.hypergraph_reductions import (
 from repro.mis.solver import MISConfig, _to_graph, solve_conflicts
 from repro.observability import Tracer, use_tracer
 
+from tests.oracles import _three_conflicts_reference
 from tests.test_ctcr_equivalence import random_instance
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
 from repro.core import Variant, make_instance
 from repro.observability import (
     NULL_TRACER,
@@ -208,16 +208,27 @@ class TestWorkerAggregation:
         assert serial.counters == pooled.counters
 
     def test_production_counters_match_serial(self):
-        """The pairwise stage's worker counters survive the pool."""
-        from repro.conflicts.two_conflicts import compute_pairwise
+        """The MIS stage's worker counters survive the component pool."""
+        from repro.mis.hypergraph_mis import (
+            WeightedHypergraph,
+            solve_hypergraph_mis,
+        )
 
-        instance = figure2_like()
-        variant = Variant.threshold_jaccard(0.8)
+        # Two edged components (triangles), so n_jobs=2 really fans out;
+        # kernelize=False keeps the reductions from solving them first.
+        hg = WeightedHypergraph(
+            vertices=list(range(6)),
+            weights={v: 1.0 + v for v in range(6)},
+            edges=[
+                frozenset(e)
+                for e in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+            ],
+        )
         with use_tracer(Tracer()) as serial:
-            compute_pairwise(instance, variant, n_jobs=1, use_bitset=False)
+            solve_hypergraph_mis(hg, kernelize=False, n_jobs=1)
         with use_tracer(Tracer()) as pooled:
-            compute_pairwise(instance, variant, n_jobs=2, use_bitset=False)
-        assert serial.counters["conflicts.pairs_classified"] > 0
+            solve_hypergraph_mis(hg, kernelize=False, n_jobs=2)
+        assert serial.counters["mis.nodes_expanded"] > 0
         assert serial.counters == pooled.counters
 
     def test_disabled_pool_path_unchanged(self):
@@ -237,12 +248,12 @@ def collect_reference_manifest() -> RunManifest:
     variant = Variant.threshold_jaccard(0.8)
     with use_tracer(Tracer()) as tracer:
         tracer.annotate("dataset.fingerprint", instance_fingerprint(instance))
-        CTCR(CTCRConfig(use_bitset=False)).build(instance, variant)
+        CTCR().build(instance, variant)
     return RunManifest.collect(
         tracer,
         run_id="golden",
         tool="golden-test",
-        config={"variant": str(variant), "use_bitset": False, "n_jobs": 1},
+        config={"variant": str(variant)},
     )
 
 
@@ -308,7 +319,7 @@ class TestRunManifest:
 
         instance = figure2_like()
         variant = Variant.threshold_jaccard(0.8)
-        builder = CTCR(CTCRConfig(use_bitset=False))
+        builder = CTCR()
         with use_tracer(Tracer()) as tracer:
             builder.build(instance, variant)
         manifest = RunManifest.collect(tracer)
@@ -376,7 +387,7 @@ def test_disabled_tracer_overhead_under_5_percent():
     ]
     instance = OCTInstance(sets, universe=universe)
     variant = Variant.threshold_jaccard(0.6)
-    builder = CTCR(CTCRConfig(use_bitset=False))
+    builder = CTCR()
 
     counting = _EventCountingTracer()
     with use_tracer(counting):

@@ -93,3 +93,27 @@ def test_serving_has_one_read_path():
     ):
         params = inspect.signature(api).parameters
         assert "tree_repr" not in params and "use_bitset" not in params, api
+
+
+def test_builders_have_one_engine(capsys):
+    """No engine, pool or clustering switch is left on the builder surface."""
+    import dataclasses
+    import inspect
+
+    from repro.algorithms import CCTConfig, CTCRConfig, set_embeddings
+    from repro.cli import main
+    from repro.clustering import agglomerative_clustering
+    from repro.conflicts import compute_pairwise
+
+    gone = {"use_bitset", "n_jobs", "cluster_engine"}
+    for config in (CTCRConfig, CCTConfig):
+        fields = {f.name for f in dataclasses.fields(config)}
+        assert not fields & gone, config
+    for api in (compute_pairwise, set_embeddings, agglomerative_clustering):
+        params = set(inspect.signature(api).parameters)
+        assert not params & (gone | {"engine"}), api
+    with pytest.raises(SystemExit):
+        main(["build", "--help"])
+    help_text = capsys.readouterr().out
+    for flag in ("--bitset", "--jobs", "--cct-cluster"):
+        assert f"{flag} " not in help_text and f"{flag}\n" not in help_text

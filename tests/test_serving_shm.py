@@ -7,8 +7,8 @@ request must be indistinguishable. These tests pin that:
 
 - differential: every read op of :class:`MmapSnapshotIndexes` equals
   :class:`SnapshotIndexes` on the paper examples, a real dataset, all
-  variants, sharded and unsharded, over trees built by every builder
-  intersection engine (``--bitset`` auto/off/on);
+  variants, sharded and unsharded, over trees built from scratch and
+  from the set-based oracle's pairwise analysis;
 - crash injection: torn, truncated, wrong-magic, corrupt-header and
   future-version flat files are rejected structurally (never a wrong
   answer, never a leaked fd);
@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
+from repro.algorithms.ctcr import BuildReuse
 from repro.core import Variant, make_instance
 from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.serving import (
@@ -38,10 +39,18 @@ from repro.serving import (
 )
 from repro.serving.indexes import SnapshotIndexes
 from repro.serving.shm import FLAT_MAGIC, _PREFIX, encode_item, shard_of
+from tests.oracles import oracle_pairwise
 
 
-def build_labeled_tree(instance, variant, use_bitset=None):
-    tree = CTCR(CTCRConfig(use_bitset=use_bitset)).build(instance, variant)
+def build_labeled_tree(instance, variant, oracle=False):
+    """CTCR tree with suggested labels; ``oracle`` injects the set-based
+    oracle's pairwise analysis instead of the kernel's."""
+    reuse = (
+        BuildReuse(analysis=oracle_pairwise(instance, variant))
+        if oracle
+        else None
+    )
+    tree = CTCR().build(instance, variant, reuse=reuse)
     apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
     return tree
 
@@ -108,12 +117,12 @@ def queries_for(instance):
 
 class TestDifferentialIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_bitset", [False, True])  # builder engine
+    @pytest.mark.parametrize("oracle", [False, True])  # pairwise source
     def test_figure2_all_variants(
-        self, figure2_instance, all_variants, tmp_path, shards, use_bitset
+        self, figure2_instance, all_variants, tmp_path, shards, oracle
     ):
         for i, variant in enumerate(all_variants):
-            tree = build_labeled_tree(figure2_instance, variant, use_bitset)
+            tree = build_labeled_tree(figure2_instance, variant, oracle)
             mem = SnapshotIndexes(tree, figure2_instance, variant)
             sub = tmp_path / f"v{i}"
             sub.mkdir()
@@ -130,13 +139,13 @@ class TestDifferentialIdentity:
         with MmapSnapshotIndexes(paths) as mm:
             assert_identical(mem, mm, queries_for(example32_instance))
 
-    @pytest.mark.parametrize("use_bitset", [False, True, None])  # builder
-    def test_tiny_dataset(self, tiny_dataset, tmp_path, use_bitset):
+    @pytest.mark.parametrize("oracle", [False, True])  # pairwise source
+    def test_tiny_dataset(self, tiny_dataset, tmp_path, oracle):
         from repro.pipeline import preprocess
 
         variant = Variant.threshold_jaccard(0.6)
         instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant, use_bitset)
+        tree = build_labeled_tree(instance, variant, oracle)
         mem = SnapshotIndexes(tree, instance, variant)
         paths = write_flat(tmp_path, mem, shards=4)
         with MmapSnapshotIndexes(paths) as mm:

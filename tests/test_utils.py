@@ -13,18 +13,6 @@ def double_chunk(chunk):
     return [x * 2 for x in chunk]
 
 
-# Module-level (hence picklable) helpers for the initializer tests.
-_OFFSET = {}
-
-
-def _install_offset(value):
-    _OFFSET["value"] = value
-
-
-def _add_offset_chunk(chunk):
-    return [x + _OFFSET["value"] for x in chunk]
-
-
 class TestParallel:
     def test_serial_map(self):
         assert parallel_map(double_chunk, [1, 2, 3]) == [2, 4, 6]
@@ -71,23 +59,6 @@ class TestParallel:
         assert resolve_jobs(-1) == (os.cpu_count() or 1)
         with pytest.raises(ValueError):
             resolve_jobs(-2)
-
-    def test_initializer_called_inline_when_serial(self):
-        calls = []
-        parallel_map(double_chunk, [1, 2], initializer=calls.append,
-                     initargs=("state",))
-        assert calls == ["state"]
-
-    def test_initializer_state_reaches_workers(self):
-        items = list(range(20))
-        result = parallel_map(
-            _add_offset_chunk,
-            items,
-            n_jobs=2,
-            initializer=_install_offset,
-            initargs=(100,),
-        )
-        assert result == [x + 100 for x in items]
 
 
 class TestRng:
